@@ -79,6 +79,10 @@ SCHEMA_VERSION = "1"
 
 _METHOD_NAMES = {"direct": "direct_norm", "trace": "trace_formula"}
 
+# Smallest accepted value of each integer flag that has one; below it is a
+# usage error, caught before any file is read.
+_INT_FLOORS = {"phases": 3, "seed": 0, "grid": 2, "starts": 1, "max_evals": 1}
+
 
 class _UsageError(Exception):
     """Flag combination that the grammar allows but the command rejects."""
@@ -125,7 +129,7 @@ def load_state(path: str) -> DensityMatrix | BipartiteState:
     for key in ("dim", "re", "im"):
         if key not in doc:
             raise ValueError(f"{path}: missing required key {key!r}")
-    dim = int(doc["dim"])
+    dim = _json_int(path, "dim", doc["dim"])
     if dim < 1:
         raise ValueError(f"{path}: dim must be positive, got {dim}")
     re = np.asarray(doc["re"], dtype=np.float64)
@@ -139,8 +143,18 @@ def load_state(path: str) -> DensityMatrix | BipartiteState:
         dims = doc["dims"]
         if not (isinstance(dims, list) and len(dims) == 2):
             raise ValueError(f"{path}: dims must be a two-element list")
-        return BipartiteState(state, int(dims[0]), int(dims[1]))
+        da, db = (_json_int(path, f"dims[{i}]", d) for i, d in enumerate(dims))
+        return BipartiteState(state, da, db)
     return state
+
+
+def _json_int(path: str, key: str, value: Any) -> int:
+    # bool is an int subclass, and int() would truncate 2.7 or parse "2".
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(
+            f"{path}: {key} must be a JSON integer, got {json.dumps(value)}"
+        )
+    return value
 
 
 def save_state(
@@ -231,6 +245,14 @@ def _load_single(path: str) -> DensityMatrix:
     if isinstance(state, BipartiteState):
         raise ValueError(f"{path}: expected a single-system state, file carries dims")
     return state
+
+
+def _check_int_floors(args) -> None:
+    for dest, low in _INT_FLOORS.items():
+        value = getattr(args, dest, None)
+        if value is not None and value < low:
+            flag = "--" + dest.replace("_", "-")
+            raise _UsageError(f"{flag} must be >= {low}, got {value}")
 
 
 def _cmd_witness(args) -> tuple[dict, dict, int | None]:
@@ -380,6 +402,7 @@ def dispatch(argv: list[str]) -> int:
         return int(exc.code) if exc.code is not None else 0
     start = time.perf_counter()
     try:
+        _check_int_floors(args)
         results, inputs, seed = _HANDLERS[args.command](args)
     except _UsageError as exc:
         print(f"qwitness {args.command}: error: {exc}", file=sys.stderr)

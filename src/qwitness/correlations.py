@@ -31,7 +31,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .qcore import (
     ATOL_STRUCT,
@@ -347,37 +346,74 @@ def correlation_witness(
     return quantumness(cond1.state, cond2.state).q_value
 
 
-def _qubit_kets(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Pair of qubit kets from (theta, beta1, phi, beta2).
+def minimize(*args, **kwargs):
+    """scipy.optimize.minimize, imported on first use: scipy dominates start-up."""
+    import scipy.optimize
+    return scipy.optimize.minimize(*args, **kwargs)
+
+
+def _witness_kernel(rho4: np.ndarray, kets: np.ndarray):
+    """Q of the B states steered by the A ket pairs kets (..., 2, dim_a).
+
+    rho4 is the state as (da, db, da, db). A point with an outcome
+    probability at or below PROB_FLOOR scores 0 and is never divided by.
+    Returns a float for one pair, else an array of shape kets.shape[:-2].
+    """
+    blocks = np.einsum("...a,ajck,...c->...jk", kets.conj(), rho4, kets)
+    probs = blocks.trace(axis1=-2, axis2=-1).real
+    if kets.ndim == 2:
+        if probs[0] <= PROB_FLOOR or probs[1] <= PROB_FLOOR:
+            return 0.0
+        return max(float(_q_terms(blocks / probs[:, None, None])), 0.0)
+    live = (probs > PROB_FLOOR).all(axis=-1)
+    values = np.zeros(live.shape)
+    values[live] = np.maximum(_q_terms(blocks[live] / probs[live][..., None, None]), 0.0)
+    return values
+
+
+def _q_terms(states: np.ndarray) -> np.ndarray:
+    """4 (v1 - v2) of state pairs (..., 2, d, d): v1 = sum |ab|^2, v2 = Re Tr(abab)."""
+    prod = states[..., 0, :, :] @ states[..., 1, :, :]
+    v1 = (np.abs(prod) ** 2).sum(axis=(-2, -1))
+    v2 = np.einsum("...ij,...ji->...", prod, prod).real
+    return 4.0 * (v1 - v2)
+
+
+def _qubit_kets(x: np.ndarray) -> np.ndarray:
+    """Qubit ket pairs (..., 2, 2) from rows (..., 4) of (theta, beta1, phi, beta2).
 
     The real family of :func:`projector_pair` extended with one azimuthal
     phase per vector, covering the full Bloch sphere for each ket. beta1 =
     beta2 = 0 reduces to the real family.
     """
-    theta, beta1, phi, beta2 = (float(t) for t in x)
-    e1 = complex(math.cos(beta1), math.sin(beta1))
-    psi1 = np.array([math.cos(theta), e1 * math.sin(theta)], dtype=np.complex128)
-    perp = np.array([math.sin(theta), -e1 * math.cos(theta)], dtype=np.complex128)
-    e2 = complex(math.cos(beta2), math.sin(beta2))
-    psi2 = math.cos(phi) * psi1 + e2 * math.sin(phi) * perp
-    return psi1, psi2
+    cos, sin = np.cos(x), np.sin(x)
+    phase = cos + 1j * sin  # columns 1 and 3 hold e^{i beta1}, e^{i beta2}
+    kets = np.empty(x.shape[:-1] + (2, 2), dtype=np.complex128)
+    perp = np.empty(x.shape[:-1] + (2,), dtype=np.complex128)
+    psi1 = kets[..., 0, :]
+    psi1[..., 0] = cos[..., 0]
+    psi1[..., 1] = phase[..., 1] * sin[..., 0]
+    perp[..., 0] = sin[..., 0]
+    perp[..., 1] = -phase[..., 1] * cos[..., 0]
+    kets[..., 1, :] = cos[..., 2:3] * psi1 + phase[..., 3:4] * sin[..., 2:3] * perp
+    return kets
 
 
 def _hyperspherical_ket(params: np.ndarray, dim: int) -> np.ndarray:
-    """Unit ket in C^dim from dim-1 polar angles and dim-1 phases.
+    """Unit kets (..., dim) from (..., 2 dim - 2) polar angles then phases.
 
     Component 0 is real and nonnegative for polar angles in [0, pi/2], so
     every ray is reachable up to global phase.
     """
-    polars = params[: dim - 1]
-    amps = np.empty(dim)
+    amps = np.empty(params.shape[:-1] + (dim,))
     running = 1.0
-    for k, chi in enumerate(polars):
-        amps[k] = running * math.cos(chi)
-        running *= math.sin(chi)
-    amps[dim - 1] = running
+    for k in range(dim - 1):
+        chi = params[..., k]
+        amps[..., k] = running * np.cos(chi)
+        running = running * np.sin(chi)
+    amps[..., dim - 1] = running
     ket = amps.astype(np.complex128)
-    ket[1:] *= np.exp(1j * np.asarray(params[dim - 1 :], dtype=np.float64))
+    ket[..., 1:] *= np.exp(1j * params[..., dim - 1 :])
     return ket
 
 
@@ -397,8 +433,7 @@ def _scan_points(axes_span, config: OptimizerConfig) -> np.ndarray:
         mesh = np.meshgrid(*axes, indexing="ij")
         return np.stack([m.ravel() for m in mesh], axis=1)
     rng = np.random.default_rng(config.seed)
-    lows = np.array([a[0] for a in axes_span])
-    highs = np.array([a[1] for a in axes_span])
+    lows, highs, _ = np.array(axes_span).T
     return rng.uniform(lows, highs, size=(config.scan_cap, n_axes))
 
 
@@ -410,8 +445,9 @@ def maximize_witness(
     Qubit A searches (theta, beta1, phi, beta2), the real projector family
     with an azimuthal phase per vector; larger A parametrizes each
     measurement ket by polar and phase angles (2 dim_a - 2 parameters per
-    ket). Coarse scan, then Nelder-Mead refinement from the best distinct
-    scan points, sequentially in start order; deterministic for a given
+    ket). The coarse scan evaluates all scan points in one batched kernel
+    call; Nelder-Mead (scipy, imported on first use) then refines from the
+    best distinct scan points in start order. Deterministic for a given
     config. Zero-probability parameter points score 0 instead of raising.
     """
     if config is None:
@@ -421,93 +457,57 @@ def maximize_witness(
         raise LayoutError("measured subsystem must have dim_a >= 2")
     rho4 = rho.state.matrix.reshape(da, db, da, db)
 
+    polar, azimuth = (0.0, math.pi / 2.0, False), (0.0, 2.0 * math.pi, True)
     if da == 2:
         kets_of = _qubit_kets
-        axes_span = [
-            (0.0, math.pi / 2.0, False),
-            (0.0, 2.0 * math.pi, True),
-            (0.0, math.pi / 2.0, False),
-            (0.0, 2.0 * math.pi, True),
-        ]
+        axes_span = [polar, azimuth] * 2
     else:
-        half = 2 * da - 2
-
         def kets_of(x):
-            return (
-                _hyperspherical_ket(x[:half], da),
-                _hyperspherical_ket(x[half:], da),
-            )
+            return _hyperspherical_ket(x.reshape(x.shape[:-1] + (2, -1)), da)
 
-        per_ket = [(0.0, math.pi / 2.0, False)] * (da - 1) + [
-            (0.0, 2.0 * math.pi, True)
-        ] * (da - 1)
-        axes_span = per_ket * 2
-
-    evaluations = 0
-    best_q = -1.0
-    best_x: np.ndarray | None = None
-
-    def objective(x: np.ndarray) -> float:
-        nonlocal evaluations, best_q, best_x
-        evaluations += 1
-        psi1, psi2 = kets_of(x)
-        r1 = np.einsum("a,ajck,c->jk", psi1.conj(), rho4, psi1)
-        p1 = float(np.trace(r1).real)
-        if p1 <= PROB_FLOOR:
-            return 0.0
-        r2 = np.einsum("a,ajck,c->jk", psi2.conj(), rho4, psi2)
-        p2 = float(np.trace(r2).real)
-        if p2 <= PROB_FLOOR:
-            return 0.0
-        prod = (r1 / p1) @ (r2 / p2)
-        v1 = float(np.sum(np.abs(prod) ** 2))
-        v2 = float(np.einsum("ij,ji", prod, prod).real)
-        q = max(4.0 * (v1 - v2), 0.0)
-        if q > best_q:
-            best_q = q
-            best_x = np.array(x, dtype=np.float64)
-        return q
+        axes_span = ([polar] * (da - 1) + [azimuth] * (da - 1)) * 2
 
     points = _scan_points(axes_span, config)
-    values = np.array([objective(p) for p in points])
-    trace: list[tuple[tuple[float, ...], float]] = []
+    values = _witness_kernel(rho4, kets_of(points))
     scan_best = int(np.argmax(values))
-    trace.append((tuple(points[scan_best]), float(values[scan_best])))
+    best_q = float(values[scan_best])
+    best_x = points[scan_best]
+    evaluations = len(points)
+    trace: list[tuple[tuple[float, ...], float]] = [(tuple(best_x), best_q)]
 
-    order = np.argsort(values)[::-1]
-    starts: list[np.ndarray] = []
-    seen: set[tuple[float, ...]] = set()
-    for idx in order:
-        key = tuple(points[idx])
-        if key in seen:
-            continue
-        seen.add(key)
-        starts.append(points[idx])
+    def loss(x: np.ndarray) -> float:
+        nonlocal evaluations, best_q, best_x
+        evaluations += 1
+        q = _witness_kernel(rho4, kets_of(x))
+        if q > best_q:
+            best_q, best_x = q, np.array(x, dtype=np.float64)
+        return -q
+
+    starts: dict[tuple[float, ...], np.ndarray] = {}  # distinct points, best first
+    for idx in np.argsort(values)[::-1]:
+        starts.setdefault(tuple(points[idx]), points[idx])
         if len(starts) == config.starts:
             break
 
     maxfev = max(config.max_evals // len(starts), 8)
-    for x0 in starts:
+    for x0 in starts.values():
         res = minimize(
-            lambda x: -objective(x),
+            loss,
             x0,
             method="Nelder-Mead",
             options={
                 "maxfev": maxfev,
                 "fatol": config.tol,
                 "xatol": config.tol,
-                "disp": False,
             },
         )
         trace.append((tuple(np.asarray(res.x, dtype=np.float64)), float(-res.fun)))
 
-    assert best_x is not None
-    psi1, psi2 = kets_of(best_x)
     verdict = "quantum_correlated" if best_q > config.threshold else "no_violation_found"
     return DiscordReport(
         best_q=best_q,
         best_params=tuple(float(t) for t in best_x),
-        best_kets=(psi1, psi2),
+        best_kets=tuple(kets_of(best_x)),
         evaluations=evaluations,
         trace=tuple(trace),
         verdict=verdict,

@@ -2,6 +2,10 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -58,6 +62,31 @@ class TestStateIO:
         path.write_text(json.dumps(doc))
         with pytest.raises(ValueError, match="2x2"):
             load_state(str(path))
+
+    @pytest.mark.parametrize("value", [2.7, True, "2"], ids=["float", "bool", "string"])
+    def test_dim_must_be_a_json_integer(self, tmp_path, capsys, value):
+        path = tmp_path / "a.json"
+        doc = {"dim": value, "re": [[1.0, 0.0], [0.0, 0.0]], "im": [[0.0] * 2] * 2}
+        path.write_text(json.dumps(doc))
+        message = f"dim must be a JSON integer, got {json.dumps(value)}"
+        with pytest.raises(ValueError, match=message):
+            load_state(str(path))
+        b = state_path(tmp_path, "b.json", PLUS)
+        code, _, err = run(capsys, ["witness", "--state-a", str(path), "--state-b", b])
+        assert code == 2
+        assert message in err
+
+    @pytest.mark.parametrize("value", [2.7, True, "2"], ids=["float", "bool", "string"])
+    def test_dims_must_be_json_integers(self, tmp_path, capsys, value):
+        path = tmp_path / "ab.json"
+        save_state(epr_state().state, str(path), dims=(2, 2))
+        doc = json.loads(path.read_text())
+        doc["dims"] = [2, value]
+        path.write_text(json.dumps(doc))
+        message = f"dims[1] must be a JSON integer, got {json.dumps(value)}"
+        code, _, err = run(capsys, ["discord", "--state", str(path), "--dims", "2", "2"])
+        assert code == 2
+        assert message in err
 
 
 class TestWitnessCommand:
@@ -284,6 +313,37 @@ class TestRandomStateCommand:
 
 
 class TestExitCodes:
+    @pytest.mark.parametrize(
+        "command, extra",
+        [
+            ("interfere", ["--phases", "2"]),
+            ("witness", ["--seed", "-1"]),
+            ("interfere", ["--seed", "-1"]),
+            ("discord", ["--seed", "-1"]),
+            ("random-state", ["--seed", "-1"]),
+            ("discord", ["--grid", "1"]),
+            ("discord", ["--starts", "0"]),
+            ("discord", ["--max-evals", "0"]),
+        ],
+        ids=lambda v: v if isinstance(v, str) else "=".join(v),
+    )
+    def test_out_of_range_flag_is_usage_error(self, tmp_path, capsys, command, extra):
+        a = state_path(tmp_path, "a.json", ZERO)
+        b = state_path(tmp_path, "b.json", PLUS)
+        ab = state_path(tmp_path, "ab.json", epr_state().state, dims=(2, 2))
+        argv = {
+            "witness": ["--state-a", a, "--state-b", b],
+            "interfere": ["--u", "u1", "--state-a", a, "--state-b", b,
+                          "--fringes-out", str(tmp_path / "f.csv")],
+            "discord": ["--state", ab, "--dims", "2", "2"],
+            "random-state": ["--dim", "2", "--rank", "1",
+                             "--out", str(tmp_path / "r.json")],
+        }[command]
+        code, out, err = run(capsys, [command, *argv, *extra])
+        assert code == 1
+        assert f"error: {extra[0]} must be >= " in err
+        assert out == ""
+
     def test_missing_required_flag_is_usage_error(self, tmp_path, capsys):
         a = state_path(tmp_path, "a.json", ZERO)
         code, _, err = run(capsys, ["witness", "--state-a", a])
@@ -352,3 +412,19 @@ class TestExitCodes:
         )
         assert code == 3
         assert "cannot write report" in err
+
+
+class TestStartup:
+    def test_importing_the_cli_does_not_load_scipy(self):
+        """scipy.optimize loads on the first discord refinement, so the
+        other subcommands never pay for it."""
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        code = "import sys, qwitness.cli; print('scipy.optimize' in sys.modules)"
+        done = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+            timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "False"

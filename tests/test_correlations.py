@@ -1,10 +1,12 @@
 """Conditional states, the bipartite correlation witness, and its optimizer."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+import qwitness.correlations as correlations
 from qwitness.correlations import (
     PROB_FLOOR,
     BipartiteState,
@@ -22,6 +24,12 @@ from qwitness.correlations import (
     maximize_witness,
     projector_pair,
     separable_example_state,
+)
+from qwitness.correlations import (
+    _hyperspherical_ket,
+    _qubit_kets,
+    _scan_points,
+    _witness_kernel,
 )
 from qwitness.qcore import (
     DensityMatrix,
@@ -384,3 +392,112 @@ class TestMaximizeWitness:
         dm = DensityMatrix(np.eye(2) / 2.0)
         with pytest.raises(LayoutError, match="dim_a"):
             maximize_witness(BipartiteState(dm, 1, 2))
+
+
+# The small search the benchmark's cli-session runs: 4^4 scan points, 2 starts.
+SMALL = OptimizerConfig(grid_points=4, starts=2, max_evals=200)
+QUBIT_AXES = [(0.0, math.pi / 2.0, False), (0.0, 2.0 * math.pi, True)] * 2
+
+
+def rho4_of(rho):
+    return rho.state.matrix.reshape(rho.dim_a, rho.dim_b, rho.dim_a, rho.dim_b)
+
+
+def qutrit_kets(points):
+    """Ket pairs of the dim_a = 3 search family, as maximize_witness builds them."""
+    return _hyperspherical_ket(points.reshape(points.shape[:-1] + (2, -1)), 3)
+
+
+class TestWitnessKernel:
+    def test_batched_scan_is_bitwise_the_single_point_objective(self):
+        """The scan's one stacked evaluation and the refinement's one-point
+        calls share arithmetic, so every scan value matches bit for bit."""
+        rng = np.random.default_rng(33)
+        rho = BipartiteState(ginibre_state(6, 3, rng), 2, 3)
+        points = _scan_points(QUBIT_AXES, OptimizerConfig())
+        assert points.shape == (12**4, 4)
+        batched = _witness_kernel(rho4_of(rho), _qubit_kets(points))
+        single = [_witness_kernel(rho4_of(rho), _qubit_kets(p)) for p in points]
+        assert batched.tobytes() == np.array(single).tobytes()
+
+        rho = BipartiteState(ginibre_state(6, 4, rng), 3, 2)
+        axes = ([(0.0, math.pi / 2.0, False)] * 2 + [(0.0, 2.0 * math.pi, True)] * 2) * 2
+        points = _scan_points(axes, OptimizerConfig(scan_cap=3000, seed=9))
+        assert points.shape == (3000, 8)
+        batched = _witness_kernel(rho4_of(rho), qutrit_kets(points))
+        single = [_witness_kernel(rho4_of(rho), qutrit_kets(p)) for p in points]
+        assert batched.tobytes() == np.array(single).tobytes()
+
+    def test_matches_correlation_witness_on_the_same_kets(self):
+        rng = np.random.default_rng(34)
+        cases = (
+            (BipartiteState(ginibre_state(4, 2, rng), 2, 2), _qubit_kets, 4),
+            (BipartiteState(ginibre_state(6, 6, rng), 2, 3), _qubit_kets, 4),
+            (BipartiteState(ginibre_state(6, 3, rng), 3, 2), qutrit_kets, 8),
+        )
+        for rho, kets_of, n_params in cases:
+            for x in rng.uniform(-math.pi, math.pi, size=(20, n_params)):
+                k1, k2 = kets_of(x)
+                e1 = PovmElement(np.outer(k1, k1.conj()))
+                e2 = PovmElement(np.outer(k2, k2.conj()))
+                q = _witness_kernel(rho4_of(rho), kets_of(x))
+                assert q == pytest.approx(correlation_witness(rho, e1, e2), abs=1e-12)
+
+    def test_zero_weight_outcomes_score_zero_without_warnings(self):
+        """On |0><0| (x) rho_B, grid kets near |1> give outcome weight ~1e-33
+        and the pairs below weight exactly 0; all score 0 and are never
+        divided by."""
+        rng = np.random.default_rng(35)
+        rho = product_state(pure_state(np.array([1.0, 0.0])), ginibre_state(2, 2, rng))
+        points = _scan_points(QUBIT_AXES, SMALL)
+        exact = np.array([[[0, 1], [1, 0]], [[1, 0], [0, 1]]], dtype=np.complex128)
+        kets = np.concatenate([_qubit_kets(points), exact])
+        dead = (np.abs(kets[..., 0]) ** 2 <= PROB_FLOOR).any(axis=-1)
+        assert dead.any() and not dead.all()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values = _witness_kernel(rho4_of(rho), kets)
+            single = [_witness_kernel(rho4_of(rho), k) for k in kets[dead]]
+            report = maximize_witness(rho, SMALL)
+        assert np.all(np.isfinite(values))
+        assert np.all(values[dead] == 0.0) and single == [0.0] * int(dead.sum())
+        assert values.max() <= 1e-12
+        assert report.verdict == "no_violation_found"
+
+    def test_evaluations_are_scan_points_plus_refine_calls(self, monkeypatch):
+        scanned, nfev = [], []
+
+        def scan_points(axes_span, config):
+            points = real_scan(axes_span, config)
+            scanned.append(len(points))
+            return points
+
+        def minimize(*args, **kwargs):
+            res = real_minimize(*args, **kwargs)
+            nfev.append(res.nfev)
+            return res
+
+        real_scan, real_minimize = correlations._scan_points, correlations.minimize
+        monkeypatch.setattr(correlations, "_scan_points", scan_points)
+        monkeypatch.setattr(correlations, "minimize", minimize)
+        rng = np.random.default_rng(36)
+        for rho, config in (
+            (epr_state(), SMALL),
+            (BipartiteState(ginibre_state(6, 2, rng), 3, 2),
+             OptimizerConfig(scan_cap=2000, starts=3, max_evals=300)),
+        ):
+            scanned.clear()
+            nfev.clear()
+            report = maximize_witness(rho, config)
+            assert len(nfev) == config.starts
+            assert report.evaluations == scanned[0] + sum(nfev)
+
+    @pytest.mark.parametrize(
+        "make, best_q",
+        [(epr_state, 0.9999999993926598), (separable_example_state, 0.06249999185038768)],
+    )
+    def test_small_search_results_are_pinned(self, make, best_q):
+        report = maximize_witness(make(), SMALL)
+        assert report.best_q == pytest.approx(best_q, abs=1e-12)
+        assert report.evaluations == 4**4 + 200
+        assert report.verdict == "quantum_correlated"
