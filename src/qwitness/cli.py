@@ -19,8 +19,12 @@ formatting, so parsing them back loses nothing. Fringe CSV rows are
 `phase_rad,p0,shots` with shots 0 marking exact values.
 
 Exit codes: 0 success, 1 usage error, 2 invalid input data, 3 runtime or
-I/O failure. Results for a fixed seed are reproducible run to run; only
-the timing field of the report varies.
+I/O failure. A flag value out of range is a usage error, found before any
+file is read; this covers `random-state --dim` below 1, a `discord --dims`
+element below 1 and a non-finite `example --phi` or `--theta`. A
+`random-state --rank` outside [1, --dim] is a data error. Results for a
+fixed seed are reproducible run to run; only the timing field of the
+report varies.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass
@@ -79,9 +84,13 @@ SCHEMA_VERSION = "1"
 
 _METHOD_NAMES = {"direct": "direct_norm", "trace": "trace_formula"}
 
-# Smallest accepted value of each integer flag that has one; below it is a
-# usage error, caught before any file is read.
-_INT_FLOORS = {"phases": 3, "seed": 0, "grid": 2, "starts": 1, "max_evals": 1}
+# Smallest accepted value of each integer flag that has one (each element,
+# for --dims), and the float flags that must be finite; a value out of range
+# is a usage error, caught before any file is read.
+_INT_FLOORS = {
+    "phases": 3, "seed": 0, "grid": 2, "starts": 1, "max_evals": 1, "dim": 1, "dims": 1,
+}
+_FINITE_FLOATS = ("phi", "theta")
 
 
 class _UsageError(Exception):
@@ -190,14 +199,7 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="qwitness",
-        description="Commutator-based quantumness and quantum-correlation detection.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("witness", parents=[], help="quantumness of two states")
+def _add_witness_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--state-a", required=True, metavar="F")
     p.add_argument("--state-b", required=True, metavar="F")
     p.add_argument("--method", choices=("direct", "trace", "interfere"), default="direct")
@@ -205,7 +207,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0, metavar="S")
     p.add_argument("--out", default=None, metavar="F")
 
-    p = sub.add_parser("interfere", help="one swap-cascade interference scan")
+
+def _add_interfere_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--u", choices=("u1", "u2"), required=True)
     p.add_argument("--state-a", required=True, metavar="F")
     p.add_argument("--state-b", required=True, metavar="F")
@@ -216,7 +219,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fringes-out", required=True, metavar="F")
     p.add_argument("--out", default=None, metavar="F")
 
-    p = sub.add_parser("discord", help="optimize the correlation witness")
+
+def _add_discord_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--state", required=True, metavar="F")
     p.add_argument("--dims", type=int, nargs=2, required=True, metavar=("DA", "DB"))
     p.add_argument("--grid", type=int, default=12, metavar="G")
@@ -225,18 +229,42 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0, metavar="S")
     p.add_argument("--out", default=None, metavar="F")
 
-    p = sub.add_parser("example", help="built-in analytic states")
+
+def _add_example_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("which", choices=("epr", "separable"))
     p.add_argument("--phi", type=float, required=True, metavar="X")
     p.add_argument("--theta", type=float, default=0.0, metavar="Y")
     p.add_argument("--out", default=None, metavar="F")
 
-    p = sub.add_parser("random-state", help="reproducible random density matrix")
+
+def _add_random_state_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--dim", type=int, required=True, metavar="D")
     p.add_argument("--rank", type=int, required=True, metavar="R")
     p.add_argument("--seed", type=int, required=True, metavar="S")
     p.add_argument("--out", required=True, metavar="F")
 
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The argument parser: every subcommand, or only ``command``.
+
+    ``command=None`` builds all five subparsers. A subcommand name builds
+    only that one, for argv whose first item is that name: the usage line
+    still lists all five names, so help text, errors and exit codes match
+    the full parser's, but any other subcommand name is rejected. The
+    subparsers' argument setup is most of the parse time of a command.
+    """
+    parser = _Parser(
+        prog="qwitness",
+        description="Commutator-based quantumness and quantum-correlation detection.",
+    )
+    # argparse derives the usage text from the choices, so a trimmed parser
+    # spells out every name. The full parser keeps the default (None),
+    # under which errors about the positional itself call it "command".
+    metavar = None if command is None else "{" + ",".join(_SUBCOMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in _SUBCOMMANDS if command is None else (command,):
+        help_text, add_args, _ = _SUBCOMMANDS[name]
+        add_args(sub.add_parser(name, help=help_text))
     return parser
 
 
@@ -247,12 +275,18 @@ def _load_single(path: str) -> DensityMatrix:
     return state
 
 
-def _check_int_floors(args) -> None:
+def _check_flag_ranges(args) -> None:
     for dest, low in _INT_FLOORS.items():
         value = getattr(args, dest, None)
-        if value is not None and value < low:
+        values = value if isinstance(value, list) else [value]
+        if value is not None and min(values) < low:
             flag = "--" + dest.replace("_", "-")
-            raise _UsageError(f"{flag} must be >= {low}, got {value}")
+            got = " ".join(map(str, values))
+            raise _UsageError(f"{flag} must be >= {low}, got {got}")
+    for dest in _FINITE_FLOATS:
+        value = getattr(args, dest, None)
+        if value is not None and not math.isfinite(value):
+            raise _UsageError(f"--{dest} must be finite, got {value}")
 
 
 def _cmd_witness(args) -> tuple[dict, dict, int | None]:
@@ -384,26 +418,33 @@ def _cmd_random_state(args) -> tuple[dict, dict, int | None]:
     return results, {}, args.seed
 
 
-_HANDLERS = {
-    "witness": _cmd_witness,
-    "interfere": _cmd_interfere,
-    "discord": _cmd_discord,
-    "example": _cmd_example,
-    "random-state": _cmd_random_state,
+# name -> (help text, argument adder, handler), in usage order.
+_SUBCOMMANDS = {
+    "witness": ("quantumness of two states", _add_witness_args, _cmd_witness),
+    "interfere": (
+        "one swap-cascade interference scan", _add_interfere_args, _cmd_interfere
+    ),
+    "discord": ("optimize the correlation witness", _add_discord_args, _cmd_discord),
+    "example": ("built-in analytic states", _add_example_args, _cmd_example),
+    "random-state": (
+        "reproducible random density matrix", _add_random_state_args, _cmd_random_state
+    ),
 }
 
 
 def dispatch(argv: list[str]) -> int:
     """Run one CLI invocation; returns the process exit code."""
-    parser = build_parser()
+    # Only the named subcommand's parser is built; help, no arguments and
+    # unknown names fall through to the full parser.
+    parser = build_parser(argv[0] if argv and argv[0] in _SUBCOMMANDS else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
     start = time.perf_counter()
     try:
-        _check_int_floors(args)
-        results, inputs, seed = _HANDLERS[args.command](args)
+        _check_flag_ranges(args)
+        results, inputs, seed = _SUBCOMMANDS[args.command][2](args)
     except _UsageError as exc:
         print(f"qwitness {args.command}: error: {exc}", file=sys.stderr)
         return 1

@@ -371,6 +371,20 @@ def _witness_kernel(rho4: np.ndarray, kets: np.ndarray):
     return values
 
 
+# Scan points per kernel call, times dim_b^2. Each (points, 2, dim_b, dim_b)
+# temporary of the batched scan then stays near 2 MB, whatever the scan size.
+_SCAN_BLOCK_ENTRIES = 2**16
+
+
+def _scan_values(rho4: np.ndarray, kets_of, points: np.ndarray) -> np.ndarray:
+    """:func:`_witness_kernel` at every scan point, in blocks sized from dim_b."""
+    step = max(1, _SCAN_BLOCK_ENTRIES // rho4.shape[1] ** 2)
+    return np.concatenate([
+        _witness_kernel(rho4, kets_of(points[i : i + step]))
+        for i in range(0, len(points), step)
+    ])
+
+
 def _q_terms(states: np.ndarray) -> np.ndarray:
     """4 (v1 - v2) of state pairs (..., 2, d, d): v1 = sum |ab|^2, v2 = Re Tr(abab)."""
     prod = states[..., 0, :, :] @ states[..., 1, :, :]
@@ -445,10 +459,12 @@ def maximize_witness(
     Qubit A searches (theta, beta1, phi, beta2), the real projector family
     with an azimuthal phase per vector; larger A parametrizes each
     measurement ket by polar and phase angles (2 dim_a - 2 parameters per
-    ket). The coarse scan evaluates all scan points in one batched kernel
-    call; Nelder-Mead (scipy, imported on first use) then refines from the
-    best distinct scan points in start order. Deterministic for a given
-    config. Zero-probability parameter points score 0 instead of raising.
+    ket). The coarse scan scores its points in batched kernel calls on
+    blocks of at most 2^16 / dim_b^2 points, so its temporaries do not
+    grow with the scan size; Nelder-Mead (scipy, imported on first use)
+    then refines from the best distinct scan points in start order.
+    Deterministic for a given config. Zero-probability parameter points
+    score 0 instead of raising.
     """
     if config is None:
         config = OptimizerConfig()
@@ -468,7 +484,7 @@ def maximize_witness(
         axes_span = ([polar] * (da - 1) + [azimuth] * (da - 1)) * 2
 
     points = _scan_points(axes_span, config)
-    values = _witness_kernel(rho4, kets_of(points))
+    values = _scan_values(rho4, kets_of, points)
     scan_best = int(np.argmax(values))
     best_q = float(values[scan_best])
     best_x = points[scan_best]

@@ -10,7 +10,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qwitness.cli import dispatch, load_state, save_state
+import qwitness.cli as cli
+from qwitness.cli import build_parser, dispatch, load_state, save_state
 from qwitness.correlations import BipartiteState, epr_state
 from qwitness.qcore import DensityMatrix, ginibre_state, pure_state
 
@@ -324,6 +325,9 @@ class TestExitCodes:
             ("discord", ["--grid", "1"]),
             ("discord", ["--starts", "0"]),
             ("discord", ["--max-evals", "0"]),
+            ("random-state", ["--dim", "0", "--seed", "0"]),
+            ("discord", ["--dims", "0", "4"]),
+            ("discord", ["--dims", "2", "0"]),
         ],
         ids=lambda v: v if isinstance(v, str) else "=".join(v),
     )
@@ -342,6 +346,15 @@ class TestExitCodes:
         code, out, err = run(capsys, [command, *argv, *extra])
         assert code == 1
         assert f"error: {extra[0]} must be >= " in err
+        assert out == ""
+
+    @pytest.mark.parametrize(
+        "flag, value", [("--phi", "nan"), ("--phi", "inf"), ("--theta", "-inf")]
+    )
+    def test_non_finite_angle_is_usage_error(self, capsys, flag, value):
+        code, out, err = run(capsys, ["example", "epr", "--phi", "0.5", f"{flag}={value}"])
+        assert code == 1
+        assert f"error: {flag} must be finite, got " in err
         assert out == ""
 
     def test_missing_required_flag_is_usage_error(self, tmp_path, capsys):
@@ -412,6 +425,63 @@ class TestExitCodes:
         )
         assert code == 3
         assert "cannot write report" in err
+
+
+# The required flags of each subcommand; files are never read by the parser.
+MINIMAL_ARGV = {
+    "witness": ["witness", "--state-a", "a.json", "--state-b", "b.json"],
+    "interfere": ["interfere", "--u", "u1", "--state-a", "a.json", "--state-b", "b.json",
+                  "--fringes-out", "f.csv"],
+    "discord": ["discord", "--state", "ab.json", "--dims", "2", "2"],
+    "example": ["example", "epr", "--phi", repr(math.pi / 4.0)],
+    "random-state": ["random-state", "--dim", "3", "--rank", "2", "--seed", "11",
+                     "--out", "r.json"],
+}
+
+# Every argv shape the tests above parse successfully.
+VALID_ARGV = [
+    *MINIMAL_ARGV.values(),
+    [*MINIMAL_ARGV["witness"], "--method", "trace"],
+    [*MINIMAL_ARGV["witness"], "--method", "interfere", "--shots", "400", "--seed", "9"],
+    [*MINIMAL_ARGV["witness"], "--out", "r.json", "--shots", "100", "--seed", "-1"],
+    ["interfere", "--u", "u2", "--state-a", "a.json", "--state-b", "b.json",
+     "--mode", "sampled", "--shots", "250", "--seed", "3", "--fringes-out", "f.csv",
+     "--phases", "2"],
+    [*MINIMAL_ARGV["discord"], "--grid", "6", "--starts", "2", "--max-evals", "300"],
+    ["discord", "--state", "ab.json", "--dims", "4", "1", "--seed", "-1"],
+    [*MINIMAL_ARGV["discord"], "--dims", "0", "4"],
+    ["example", "separable", "--phi", "0.6", "--theta", "0.8", "--out", "r.json"],
+    ["example", "epr", "--phi", "0.5", "--theta", "inf"],
+    ["random-state", "--dim", "0", "--rank", "5", "--seed", "-1", "--out", "r.json"],
+]
+
+
+class TestTrimmedParser:
+    """dispatch builds only the named subcommand's parser; to the user it
+    must look exactly like the full one."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--help"], ["-h", "witness"], [], ["frobnicate"],
+            *([name, "--help"] for name in MINIMAL_ARGV),
+            # After the required flags, so the top-level parser reports it.
+            *([*argv, "--bogus"] for argv in MINIMAL_ARGV.values()),
+            ["witness", "--state-a", "a.json"],
+            ["interfere", "--u", "u3"],
+        ],
+        ids=lambda argv: " ".join(argv) or "no-args",
+    )
+    def test_output_matches_the_full_parser(self, monkeypatch, capsys, argv):
+        monkeypatch.setenv("COLUMNS", "80")
+        trimmed = run(capsys, argv)
+        monkeypatch.setattr(cli, "build_parser", lambda command=None: build_parser())
+        assert trimmed == run(capsys, argv)
+        assert trimmed[0] in (0, 1)
+
+    @pytest.mark.parametrize("argv", VALID_ARGV, ids=lambda argv: " ".join(argv))
+    def test_namespace_matches_the_full_parser(self, argv):
+        assert build_parser(argv[0]).parse_args(argv) == build_parser().parse_args(argv)
 
 
 class TestStartup:

@@ -1,5 +1,6 @@
 """Conditional states, the bipartite correlation witness, and its optimizer."""
 
+import dataclasses
 import math
 import warnings
 
@@ -29,6 +30,7 @@ from qwitness.correlations import (
     _hyperspherical_ket,
     _qubit_kets,
     _scan_points,
+    _scan_values,
     _witness_kernel,
 )
 from qwitness.qcore import (
@@ -427,6 +429,26 @@ class TestWitnessKernel:
         batched = _witness_kernel(rho4_of(rho), qutrit_kets(points))
         single = [_witness_kernel(rho4_of(rho), qutrit_kets(p)) for p in points]
         assert batched.tobytes() == np.array(single).tobytes()
+
+    def test_blocked_scan_is_bitwise_one_kernel_call(self, monkeypatch):
+        """A 2x8 default-config scan runs in many blocks; its values and its
+        report match the unblocked scan bit for bit."""
+        rng = np.random.default_rng(37)
+        rho = BipartiteState(ginibre_state(16, 16, rng), 2, 8)
+        points = _scan_points(QUBIT_AXES, OptimizerConfig())
+        assert len(points) > 2 * (correlations._SCAN_BLOCK_ENTRIES // 8**2)
+        blocked = _scan_values(rho4_of(rho), _qubit_kets, points)
+        whole = _witness_kernel(rho4_of(rho), _qubit_kets(points))
+        assert blocked.tobytes() == whole.tobytes()
+
+        def fields(report):
+            out = {f.name: getattr(report, f.name) for f in dataclasses.fields(report)}
+            out["best_kets"] = [k.tobytes() for k in report.best_kets]
+            return out
+
+        report = maximize_witness(rho)
+        monkeypatch.setattr(correlations, "_SCAN_BLOCK_ENTRIES", len(points) * 8**2)
+        assert fields(report) == fields(maximize_witness(rho))
 
     def test_matches_correlation_witness_on_the_same_kets(self):
         rng = np.random.default_rng(34)
