@@ -53,7 +53,6 @@ from .qcore import (
     pure_state,
     random_density,
     tensor_product,
-    validate_density,
 )
 from .witness import (
     ProbePair,
@@ -114,6 +113,5 @@ __all__ = [
     "run_interferometer",
     "separable_example_state",
     "tensor_product",
-    "validate_density",
     "witness_observables",
 ]

@@ -33,6 +33,7 @@ import argparse
 import hashlib
 import json
 import math
+import re
 import sys
 import time
 from dataclasses import dataclass
@@ -91,6 +92,10 @@ _INT_FLOORS = {
     "phases": 3, "seed": 0, "grid": 2, "starts": 1, "max_evals": 1, "dim": 1, "dims": 1,
 }
 _FINITE_FLOATS = ("phi", "theta")
+
+_NEGATIVE_FLOAT = re.compile(
+    r"^-(\d+\.?\d*|\.\d+)(e[-+]?\d+)?$|^-(inf|infinity|nan)$", re.IGNORECASE
+)
 
 
 class _UsageError(Exception):
@@ -193,6 +198,13 @@ def write_fringes(fringes, path: str) -> None:
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse's own matcher takes "-1e-3" and "-inf" for option
+        # strings, leaving "--phi -1e-3" without its value; any negative
+        # float literal is a value here.
+        self._negative_number_matcher = _NEGATIVE_FLOAT
+
     # argparse exits 2 on bad usage; this surface reserves 2 for data errors.
     def error(self, message):
         self.print_usage(sys.stderr)

@@ -40,7 +40,7 @@ from .qcore import (
     pure_state,
     tensor_product,
 )
-from .witness import quantumness
+from .witness import _trace_terms, quantumness
 
 __all__ = [
     "PROB_FLOOR",
@@ -386,10 +386,8 @@ def _scan_values(rho4: np.ndarray, kets_of, points: np.ndarray) -> np.ndarray:
 
 
 def _q_terms(states: np.ndarray) -> np.ndarray:
-    """4 (v1 - v2) of state pairs (..., 2, d, d): v1 = sum |ab|^2, v2 = Re Tr(abab)."""
-    prod = states[..., 0, :, :] @ states[..., 1, :, :]
-    v1 = (np.abs(prod) ** 2).sum(axis=(-2, -1))
-    v2 = np.einsum("...ij,...ji->...", prod, prod).real
+    """4 (v1 - v2) of state pairs (..., 2, d, d), from the products ab."""
+    v1, v2 = _trace_terms(states[..., 0, :, :] @ states[..., 1, :, :])
     return 4.0 * (v1 - v2)
 
 

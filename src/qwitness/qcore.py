@@ -38,7 +38,6 @@ __all__ = [
     "partial_trace",
     "partial_trace_operator",
     "commutator_hs",
-    "validate_density",
     "random_density",
     "ginibre_state",
     "conjugate_by_unitary",
@@ -244,15 +243,6 @@ def commutator_hs(a, b) -> tuple[np.ndarray, float]:
     c = a @ b - b @ a
     hs_norm_sq = float(np.sum(np.abs(c) ** 2))
     return c, hs_norm_sq
-
-
-def validate_density(m) -> DensityMatrix:
-    """Validate a raw matrix as a density matrix.
-
-    Raises :class:`StateValidationError` with the violated check
-    (``hermiticity``, ``positivity`` or ``trace``) and its magnitude.
-    """
-    return DensityMatrix(np.asarray(m))
 
 
 def ginibre_state(dim: int, rank: int, rng: np.random.Generator) -> DensityMatrix:

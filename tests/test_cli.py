@@ -286,6 +286,23 @@ class TestExampleCommand:
             expected, abs=1e-12
         )
 
+    @pytest.mark.parametrize(
+        "flags",
+        [["--phi", "-1e-3"], ["--phi", "0.5", "--theta", "-1e-3"]],
+        ids=["phi", "theta"],
+    )
+    def test_negative_exponent_angle_is_a_value(self, capsys, flags):
+        """argparse alone reads "-1e-3" as an option string; it must parse
+        like the "--flag=-1e-3" spelling."""
+        joined = [f"{flag}={value}" for flag, value in zip(flags[::2], flags[1::2])]
+        results = []
+        for argv in (["example", "epr", *flags], ["example", "epr", *joined]):
+            code, out, err = run(capsys, argv)
+            assert code == 0, err
+            results.append(report_of(out)["results"])
+        assert results[0] == results[1]
+        assert -1e-3 in (results[0]["phi"], results[0]["theta"])
+
 
 class TestRandomStateCommand:
     def test_writes_valid_reproducible_state(self, tmp_path, capsys):
@@ -355,6 +372,12 @@ class TestExitCodes:
         code, out, err = run(capsys, ["example", "epr", "--phi", "0.5", f"{flag}={value}"])
         assert code == 1
         assert f"error: {flag} must be finite, got " in err
+        assert out == ""
+
+    def test_spaced_negative_infinite_angle_reaches_the_finite_check(self, capsys):
+        code, out, err = run(capsys, ["example", "epr", "--phi", "-inf"])
+        assert code == 1
+        assert "error: --phi must be finite, got -inf" in err
         assert out == ""
 
     def test_missing_required_flag_is_usage_error(self, tmp_path, capsys):

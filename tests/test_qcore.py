@@ -20,7 +20,6 @@ from qwitness.qcore import (
     pure_state,
     random_density,
     tensor_product,
-    validate_density,
 )
 
 P0 = np.array([[1.0, 0.0], [0.0, 0.0]])
@@ -77,12 +76,13 @@ class TestDensityMatrix:
 
 class TestValidateDensity:
     def test_returns_density_matrix(self):
-        state = validate_density(np.eye(2) / 2.0)
+        state = DensityMatrix(np.eye(2) / 2.0)
         assert isinstance(state, DensityMatrix)
+        np.testing.assert_array_equal(state.matrix, np.eye(2) / 2.0)
 
     def test_failure_names_check_and_magnitude(self):
         try:
-            validate_density(np.diag([1.3, -0.3]))
+            DensityMatrix(np.diag([1.3, -0.3]))
         except StateValidationError as exc:
             assert exc.check == "positivity"
             assert exc.magnitude == pytest.approx(-0.3, abs=1e-12)

@@ -2,10 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+from qwitness.correlations import _q_terms
 from qwitness.qcore import (
     DensityMatrix,
     LayoutError,
+    commutator_hs,
     conjugate_by_unitary,
     ginibre_state,
     pure_state,
@@ -121,6 +126,101 @@ class TestQuantumness:
         with pytest.raises(ValueError):
             # interferometric evaluation lives in its own module
             quantumness(rho, rho, method="interferometer")
+
+
+def ginibre_pairs(seed):
+    """Seeded Ginibre pairs at d 2, 3, 5, 16 over ranks 1, mid and full."""
+    rng = np.random.default_rng(seed)
+    for dim in (2, 3, 5, 16):
+        ranks = sorted({1, (dim + 1) // 2, dim})
+        for rank_a in ranks:
+            for rank_b in ranks:
+                yield ginibre_state(dim, rank_a, rng), ginibre_state(dim, rank_b, rng)
+
+
+class TestOneProductKernel:
+    def test_matches_the_multi_product_reference(self):
+        """quantumness forms ab once; the reference is the arithmetic it
+        replaced: Tr(a (ab) b), Tr((ab)(ab)) and 2 ||ab - ba||^2."""
+        for rho_a, rho_b in ginibre_pairs(8):
+            a, b = rho_a.matrix, rho_b.matrix
+            v1 = float(np.trace(a @ (a @ b) @ b).real)
+            v2 = float(np.trace((a @ b) @ (a @ b)).real)
+            expected = {"direct_norm": 2.0 * commutator_hs(a, b)[1],
+                        "trace_formula": 4.0 * (v1 - v2)}
+            for method, q in expected.items():
+                res = quantumness(rho_a, rho_b, method=method)
+                assert res.q_value == pytest.approx(q, abs=1e-12)
+                assert res.v1_term == pytest.approx(v1, abs=1e-12)
+                assert res.v2_term == pytest.approx(v2, abs=1e-12)
+
+    def test_batched_q_terms_equal_per_pair_calls_bitwise(self):
+        rng = np.random.default_rng(9)
+        for dim in (2, 3, 5, 16):
+            stack = np.array([
+                [ginibre_state(dim, int(rng.integers(1, dim + 1)), rng).matrix
+                 for _ in range(2)]
+                for _ in range(40)
+            ])
+            batched = _q_terms(stack)
+            assert batched.shape == (40,)
+            for k, pair in enumerate(stack):
+                assert batched[k] == _q_terms(pair)
+
+
+@st.composite
+def states(draw, dim):
+    """G G^dag / Tr with G a drawn dim x rank complex matrix."""
+    rank = draw(st.integers(1, dim))
+    parts = hnp.arrays(np.float64, (2, dim, rank), elements=st.floats(-1.0, 1.0))
+    re, im = draw(parts)
+    g = re + 1j * im
+    m = g @ g.conj().T
+    trace = np.trace(m).real
+    if trace < 1e-3:  # (near-)zero draw: fall back to a basis projector
+        m, trace = np.diag(np.eye(dim)[0]).astype(complex), 1.0
+    return DensityMatrix(m / trace)
+
+
+@st.composite
+def state_pairs(draw):
+    dim = draw(st.integers(2, 5))
+    return draw(states(dim)), draw(states(dim))
+
+
+PROPERTIES = settings(derandomize=True, database=None, deadline=None, max_examples=150)
+
+
+class TestQuantumnessProperties:
+    @PROPERTIES
+    @given(state_pairs())
+    def test_bounds_and_route_agreement(self, pair):
+        direct = quantumness(*pair, method="direct_norm").q_value
+        traced = quantumness(*pair, method="trace_formula").q_value
+        assert 0.0 <= direct <= 1.0 + 1e-12
+        assert traced == pytest.approx(direct, abs=1e-10)
+
+    @PROPERTIES
+    @given(state_pairs())
+    def test_symmetry(self, pair):
+        rho_a, rho_b = pair
+        for method in ("direct_norm", "trace_formula"):
+            assert quantumness(rho_a, rho_b, method).q_value == pytest.approx(
+                quantumness(rho_b, rho_a, method).q_value, abs=1e-12
+            )
+
+    @PROPERTIES
+    @given(state_pairs(), st.data())
+    def test_unitary_invariance(self, pair, data):
+        rho_a, rho_b = pair
+        re, im = data.draw(hnp.arrays(np.float64, (2, rho_a.dim, rho_a.dim),
+                                      elements=st.floats(-1.0, 1.0)))
+        u, _ = np.linalg.qr(re + 1j * im)  # Householder Q: unitary for any draw
+        moved = conjugate_by_unitary(rho_a, u), conjugate_by_unitary(rho_b, u)
+        for method in ("direct_norm", "trace_formula"):
+            assert quantumness(*moved, method).q_value == pytest.approx(
+                quantumness(rho_a, rho_b, method).q_value, abs=1e-10
+            )
 
 
 class TestWitnessResult:
