@@ -202,7 +202,9 @@ class _Parser(argparse.ArgumentParser):
         super().__init__(*args, **kwargs)
         # argparse's own matcher takes "-1e-3" and "-inf" for option
         # strings, leaving "--phi -1e-3" without its value; any negative
-        # float literal is a value here.
+        # float literal is a value here. This relies on -h being the only
+        # single-letter flag: a flag such as -i or -n would make "-inf" or
+        # "-nan" a value again, silently.
         self._negative_number_matcher = _NEGATIVE_FLOAT
 
     # argparse exits 2 on bad usage; this surface reserves 2 for data errors.

@@ -386,7 +386,11 @@ def _scan_values(rho4: np.ndarray, kets_of, points: np.ndarray) -> np.ndarray:
 
 
 def _q_terms(states: np.ndarray) -> np.ndarray:
-    """4 (v1 - v2) of state pairs (..., 2, d, d), from the products ab."""
+    """4 (v1 - v2) of state pairs (..., 2, d, d), from the products ab alone.
+
+    v1 = sum |ab|^2 is Tr(a^2 b^2) for Hermitian pairs; the steered blocks
+    are Hermitian to rounding, and this value only ranks scan points.
+    """
     v1, v2 = _trace_terms(states[..., 0, :, :] @ states[..., 1, :, :])
     return 4.0 * (v1 - v2)
 

@@ -13,15 +13,17 @@ the difference of traces above is ordered so that Q is nonnegative, and it
 equals 4 (v1 - v2) in the interferometric notation v1 = Tr(rho_a^2 rho_b^2),
 v2 = Tr((rho_a rho_b)^2).
 
-Every term needs only the one product P = rho_a rho_b:
+Every term needs only the two products P = rho_a rho_b and P' = rho_b rho_a:
 
-    v1 = ||P||_F^2 = sum_ij |P_ij|^2,   v2 = sum_ij P_ij P_ji,
-    [rho_a, rho_b] = P - rho_b rho_a.
+    v1 = sum_ij P_ij P'_ji,   v2 = sum_ij P_ij P_ji,   [rho_a, rho_b] = P - P',
 
-The two trace identities use P^dag = rho_b rho_a, so they are exact only
-for exactly Hermitian inputs. A validated state may deviate from
-Hermiticity by up to ATOL_STRUCT, which shifts v1 and v2 by O(herm_dev),
-within the 1e-10 agreement of the routes.
+which hold for any square matrices by cyclicity of the trace. For exactly
+Hermitian inputs P' = P^dag, so v1 = ||P||_F^2 and one product suffices;
+the batched discord kernel uses that form for its search objective. A
+validated state may deviate from Hermiticity by up to ATOL_STRUCT, and
+||P||_F^2 then moves by first order in that deviation (4 (v1 - v2) can
+miss the direct norm by more than 1e-10), whereas Re sum P_ij P'_ji keeps
+the first-order error cancelled, so ``quantumness`` uses P'.
 
 Useful closed forms (used as oracles in the test suite):
 
@@ -107,15 +109,20 @@ class ProbePair:
         object.__setattr__(self, "b", b)
 
 
-def _trace_terms(ab: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(v1, v2) of products ab = a b of shape (..., d, d).
+def _trace_terms(ab: np.ndarray,
+                 ba: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """(v1, v2) = (Tr(a^2 b^2), Tr((ab)^2)) of products of shape (..., d, d).
 
-    v1 = sum |ab|^2 and v2 = Re sum_ij ab_ij ab_ji, reduced over the last
-    two axes. For Hermitian a and b these are Tr(a^2 b^2) (since
-    (ab)^dag = ba) and Tr((ab)^2); for validated states they are off by
-    O(herm_dev) at most.
+    v2 = Re sum_ij ab_ij ab_ji, reduced over the last two axes. Given
+    ba = b a, v1 = Re sum_ij ab_ij ba_ji, exact for any a and b. Without
+    it, v1 = sum |ab|^2, which equals Tr(a^2 b^2) only when (ab)^dag = ba,
+    i.e. for exactly Hermitian a and b: pass ba for states that are
+    Hermitian only to within ATOL_STRUCT.
     """
-    v1 = (np.abs(ab) ** 2).sum(axis=(-2, -1))
+    if ba is None:
+        v1 = (np.abs(ab) ** 2).sum(axis=(-2, -1))
+    else:
+        v1 = np.einsum("...ij,...ji->...", ab, ba).real
     v2 = np.einsum("...ij,...ji->...", ab, ab).real
     return v1, v2
 
@@ -126,18 +133,18 @@ def quantumness(rho_a: DensityMatrix, rho_b: DensityMatrix,
 
     ``method="direct_norm"`` evaluates 2 ||ab - ba||^2 from the commutator;
     ``method="trace_formula"`` evaluates 4 (Tr(a^2 b^2) - Tr((a b)^2)).
-    Both share the one product ab with the trace terms. The two agree to
-    ~1e-10 and Q = 0 iff the states commute.
+    Both share the products ab and ba with the trace terms. The two agree
+    to ~1e-10 and Q = 0 iff the states commute.
     """
     ma, mb = rho_a.matrix, rho_b.matrix
     if ma.shape != mb.shape:
         raise LayoutError(f"state dimensions differ: {ma.shape} vs {mb.shape}")
     if method not in ("direct_norm", "trace_formula"):
         raise ValueError(f"unknown method {method!r}; use 'direct_norm' or 'trace_formula'")
-    ab = ma @ mb
-    v1, v2 = (float(t) for t in _trace_terms(ab))
+    ab, ba = ma @ mb, mb @ ma
+    v1, v2 = (float(t) for t in _trace_terms(ab, ba))
     if method == "direct_norm":
-        q = 2.0 * float(np.sum(np.abs(ab - mb @ ma) ** 2))
+        q = 2.0 * float(np.sum(np.abs(ab - ba) ** 2))
     else:
         q = 4.0 * (v1 - v2)
     return WitnessResult(q_value=q, v1_term=v1, v2_term=v2, method=method)
