@@ -20,9 +20,11 @@ formatting, so parsing them back loses nothing. Fringe CSV rows are
 
 Exit codes: 0 success, 1 usage error, 2 invalid input data, 3 runtime or
 I/O failure. A flag value out of range is a usage error, found before any
-file is read; this covers `random-state --dim` below 1, a `discord --dims`
-element below 1 and a non-finite `example --phi` or `--theta`. A
-`random-state --rank` outside [1, --dim] is a data error. Results for a
+file is read; this covers `random-state --dim` below 1, `--shots` below 1,
+a `discord --dims` split with dim_a below 2 or dim_b below 1 and a
+non-finite `example --phi` or `--theta`. A `random-state --rank` outside
+[1, --dim] is a data error, as is a state file whose dim or dims is not a
+JSON integer or whose matrix entries are not JSON numbers. Results for a
 fixed seed are reproducible run to run; only the timing field of the
 report varies.
 """
@@ -85,11 +87,13 @@ SCHEMA_VERSION = "1"
 
 _METHOD_NAMES = {"direct": "direct_norm", "trace": "trace_formula"}
 
-# Smallest accepted value of each integer flag that has one (each element,
-# for --dims), and the float flags that must be finite; a value out of range
-# is a usage error, caught before any file is read.
+# Smallest accepted value of each integer flag that has one (one per
+# element for --dims: the measured subsystem needs dim_a >= 2), and the float
+# flags that must be finite; a value out of range is a usage error, caught
+# before any file is read.
 _INT_FLOORS = {
-    "phases": 3, "seed": 0, "grid": 2, "starts": 1, "max_evals": 1, "dim": 1, "dims": 1,
+    "phases": 3, "seed": 0, "grid": 2, "starts": 1, "max_evals": 1, "dim": 1,
+    "dims": (2, 1), "shots": 1,
 }
 _FINITE_FLOATS = ("phi", "theta")
 
@@ -146,8 +150,7 @@ def load_state(path: str) -> DensityMatrix | BipartiteState:
     dim = _json_int(path, "dim", doc["dim"])
     if dim < 1:
         raise ValueError(f"{path}: dim must be positive, got {dim}")
-    re = np.asarray(doc["re"], dtype=np.float64)
-    im = np.asarray(doc["im"], dtype=np.float64)
+    re, im = (_json_matrix(path, key, doc[key]) for key in ("re", "im"))
     if re.shape != (dim, dim) or im.shape != (dim, dim):
         raise ValueError(
             f"{path}: re/im must both be {dim}x{dim}, got {re.shape} and {im.shape}"
@@ -169,6 +172,22 @@ def _json_int(path: str, key: str, value: Any) -> int:
             f"{path}: {key} must be a JSON integer, got {json.dumps(value)}"
         )
     return value
+
+
+def _json_matrix(path: str, key: str, value: Any) -> np.ndarray:
+    # numpy alone would read true as 1.0, "0.5" as 0.5 and null as nan.
+    for row in value if isinstance(value, list) else [value]:
+        for v in row if isinstance(row, list) else [row]:
+            if type(v) is not float and type(v) is not int:
+                raise ValueError(
+                    f"{path}: {key} entries must be JSON numbers, got {json.dumps(v)}"
+                )
+    try:
+        return np.asarray(value, dtype=np.float64)
+    except OverflowError:  # an integer literal beyond the float range
+        raise ValueError(f"{path}: {key} has an entry beyond the float range") from None
+    except ValueError:  # the entries are numbers, so the nesting is ragged
+        raise ValueError(f"{path}: {key} rows must have equal lengths") from None
 
 
 def save_state(
@@ -290,11 +309,15 @@ def _load_single(path: str) -> DensityMatrix:
 
 
 def _check_flag_ranges(args) -> None:
-    for dest, low in _INT_FLOORS.items():
+    for dest, floor in _INT_FLOORS.items():
         value = getattr(args, dest, None)
+        if value is None:
+            continue
         values = value if isinstance(value, list) else [value]
-        if value is not None and min(values) < low:
+        floors = floor if isinstance(floor, tuple) else (floor,) * len(values)
+        if any(v < low for v, low in zip(values, floors)):
             flag = "--" + dest.replace("_", "-")
+            low = " ".join(map(str, floors))
             got = " ".join(map(str, values))
             raise _UsageError(f"{flag} must be >= {low}, got {got}")
     for dest in _FINITE_FLOATS:
@@ -313,8 +336,6 @@ def _cmd_witness(args) -> tuple[dict, dict, int | None]:
         res = quantumness(state_a, state_b, method=_METHOD_NAMES[args.method])
         seed = None
     else:
-        if args.shots is not None and args.shots < 1:
-            raise _UsageError("--shots must be a positive integer")
         mode = "exact" if args.shots is None else "sampled"
         res = interferometric_quantumness(
             state_a, state_b, mode=mode, shots=args.shots or 0, seed=args.seed
@@ -331,7 +352,7 @@ def _cmd_witness(args) -> tuple[dict, dict, int | None]:
 
 
 def _cmd_interfere(args) -> tuple[dict, dict, int | None]:
-    if args.mode == "sampled" and (args.shots is None or args.shots < 1):
+    if args.mode == "sampled" and args.shots is None:
         raise _UsageError("--mode sampled requires --shots N with N >= 1")
     if args.mode == "exact" and args.shots is not None:
         raise _UsageError("--shots applies only to --mode sampled")

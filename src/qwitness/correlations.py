@@ -346,10 +346,112 @@ def correlation_witness(
     return quantumness(cond1.state, cond2.state).q_value
 
 
-def minimize(*args, **kwargs):
-    """scipy.optimize.minimize, imported on first use: scipy dominates start-up."""
-    import scipy.optimize
-    return scipy.optimize.minimize(*args, **kwargs)
+@dataclass(frozen=True, eq=False)
+class _SimplexResult:
+    """Outcome of :func:`minimize`: the best vertex and its value, the
+    objective calls and iterations made, and status 0 (converged) or 1
+    (evaluation budget spent)."""
+
+    x: np.ndarray
+    fun: float
+    nfev: int
+    nit: int
+    status: int
+
+
+class _BudgetSpent(Exception):
+    """The objective was called again after ``maxfev`` calls."""
+
+
+def minimize(fun, x0, *, maxfev: int, xatol: float, fatol: float) -> _SimplexResult:
+    """Nelder-Mead simplex minimization of ``fun`` from ``x0``, unbounded.
+
+    Nelder & Mead, Comput. J. 7, 308 (1965), with reflection 1, expansion
+    2, contraction 1/2 and shrink 1/2 from the initial simplex that moves
+    each coordinate of x0 by 5 % (0.00025 where it is zero). Stops once
+    ``maxfev`` calls are spent or when every vertex lies within ``xatol``
+    of the best one, coordinate-wise, and within ``fatol`` in value.
+
+    This is scipy 1.17's ``minimize(method="Nelder-Mead")`` for these
+    options, with its array operations in the same order, so the results
+    are bit-identical to it: the budget is checked before each call, the
+    objective gets a copy of the vertex, and the vertices are re-sorted
+    by the default (unstable) ``argsort``, whose order of tied values
+    steers the simplex on a flat objective.
+    """
+    x0 = np.asarray(x0, dtype=np.float64).flatten()
+    n = len(x0)
+    nfev = 0
+
+    def f(x: np.ndarray) -> float:
+        nonlocal nfev
+        if nfev >= maxfev:
+            raise _BudgetSpent
+        nfev += 1
+        return float(fun(np.copy(x)))
+
+    sim = np.empty((n + 1, n), dtype=np.float64)
+    sim[0] = x0
+    for k in range(n):
+        y = np.array(x0, copy=True)
+        y[k] = (1 + 0.05) * y[k] if y[k] != 0 else 0.00025
+        sim[k + 1] = y
+    fsim = np.full((n + 1,), np.inf, dtype=float)
+    try:
+        for k in range(n + 1):
+            fsim[k] = f(sim[k])
+    except _BudgetSpent:
+        pass
+    # scipy sorts twice here; a second unstable sort can reorder ties.
+    for _ in range(2):
+        ind = np.argsort(fsim)
+        sim = np.take(sim, ind, 0)
+        fsim = np.take(fsim, ind, 0)
+
+    iterations = 1
+    while nfev < maxfev:
+        try:
+            if (np.max(np.ravel(np.abs(sim[1:] - sim[0]))) <= xatol
+                    and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol):
+                break
+            xbar = np.add.reduce(sim[:-1], 0) / n
+            xr = 2 * xbar - sim[-1]
+            fxr = f(xr)
+            if fxr < fsim[0]:
+                xe = 3 * xbar - 2 * sim[-1]
+                fxe = f(xe)
+                sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+            elif fxr < fsim[-2]:
+                sim[-1], fsim[-1] = xr, fxr
+            else:
+                if fxr < fsim[-1]:  # outside contraction
+                    xc = 1.5 * xbar - 0.5 * sim[-1]
+                    fxc = f(xc)
+                    accept = fxc <= fxr
+                else:  # inside contraction
+                    xc = 0.5 * xbar + 0.5 * sim[-1]
+                    fxc = f(xc)
+                    accept = fxc < fsim[-1]
+                if accept:
+                    sim[-1], fsim[-1] = xc, fxc
+                else:  # shrink toward the best vertex
+                    for j in range(1, n + 1):
+                        sim[j] = sim[0] + 0.5 * (sim[j] - sim[0])
+                        fsim[j] = f(sim[j])
+            iterations += 1
+        except _BudgetSpent:
+            pass
+        ind = np.argsort(fsim)
+        sim = np.take(sim, ind, 0)
+        fsim = np.take(fsim, ind, 0)
+
+    return _SimplexResult(
+        x=sim[0],
+        fun=float(np.min(fsim)),
+        nfev=nfev,
+        nit=iterations,
+        status=1 if nfev >= maxfev else 0,
+    )
 
 
 def _witness_kernel(rho4: np.ndarray, kets: np.ndarray):
@@ -463,8 +565,8 @@ def maximize_witness(
     measurement ket by polar and phase angles (2 dim_a - 2 parameters per
     ket). The coarse scan scores its points in batched kernel calls on
     blocks of at most 2^16 / dim_b^2 points, so its temporaries do not
-    grow with the scan size; Nelder-Mead (scipy, imported on first use)
-    then refines from the best distinct scan points in start order.
+    grow with the scan size; :func:`minimize` (Nelder-Mead) then refines
+    from the best distinct scan points in start order.
     Deterministic for a given config. Zero-probability parameter points
     score 0 instead of raising.
     """
@@ -509,17 +611,8 @@ def maximize_witness(
 
     maxfev = max(config.max_evals // len(starts), 8)
     for x0 in starts.values():
-        res = minimize(
-            loss,
-            x0,
-            method="Nelder-Mead",
-            options={
-                "maxfev": maxfev,
-                "fatol": config.tol,
-                "xatol": config.tol,
-            },
-        )
-        trace.append((tuple(np.asarray(res.x, dtype=np.float64)), float(-res.fun)))
+        res = minimize(loss, x0, maxfev=maxfev, xatol=config.tol, fatol=config.tol)
+        trace.append((tuple(res.x), -res.fun))
 
     verdict = "quantum_correlated" if best_q > config.threshold else "no_violation_found"
     return DiscordReport(

@@ -89,6 +89,40 @@ class TestStateIO:
         assert code == 2
         assert message in err
 
+    @pytest.mark.parametrize(
+        "key, value", [("re", "0.5"), ("re", True), ("im", None)],
+        ids=["string", "bool", "null"],
+    )
+    def test_matrix_entries_must_be_json_numbers(self, tmp_path, capsys, key, value):
+        path = tmp_path / "a.json"
+        doc = {"dim": 2, "re": [[1.0, 0], [0, 0.0]], "im": [[0.0, 0], [0, 0]]}
+        doc[key][1][0] = value
+        path.write_text(json.dumps(doc))
+        message = f"{key} entries must be JSON numbers, got {json.dumps(value)}"
+        with pytest.raises(ValueError, match=message):
+            load_state(str(path))
+        b = state_path(tmp_path, "b.json", PLUS)
+        code, _, err = run(capsys, ["witness", "--state-a", str(path), "--state-b", b])
+        assert code == 2
+        assert message in err
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ('{"dim": 1, "re": [[1' + "0" * 400 + ']], "im": [[0]]}',
+             "re has an entry beyond the float range"),
+            ('{"dim": 2, "re": [[1, 0], [0, 0]], "im": [[0, 0], [0]]}',
+             "im rows must have equal lengths"),
+        ],
+        ids=["huge-integer", "ragged"],
+    )
+    def test_unreadable_matrix_is_data_error(self, tmp_path, capsys, text, message):
+        path = tmp_path / "a.json"
+        path.write_text(text)
+        code, _, err = run(capsys, ["witness", "--state-a", str(path), "--state-b", str(path)])
+        assert code == 2
+        assert f"{path}: {message}" in err
+
 
 class TestWitnessCommand:
     def test_direct_method_reports_q(self, tmp_path, capsys):
@@ -344,7 +378,10 @@ class TestExitCodes:
             ("discord", ["--max-evals", "0"]),
             ("random-state", ["--dim", "0", "--seed", "0"]),
             ("discord", ["--dims", "0", "4"]),
+            ("discord", ["--dims", "1", "4"]),
             ("discord", ["--dims", "2", "0"]),
+            ("witness", ["--shots", "0", "--method", "interfere"]),
+            ("interfere", ["--shots", "0", "--mode", "sampled"]),
         ],
         ids=lambda v: v if isinstance(v, str) else "=".join(v),
     )
@@ -363,6 +400,25 @@ class TestExitCodes:
         code, out, err = run(capsys, [command, *argv, *extra])
         assert code == 1
         assert f"error: {extra[0]} must be >= " in err
+        assert out == ""
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["witness", "--method", "interfere", "--shots", "0"], "--shots"),
+            (["interfere", "--u", "u1", "--shots", "0", "--fringes-out", "f.csv"],
+             "--shots"),
+            (["discord", "--dims", "1", "4"], "--dims"),
+        ],
+        ids=["witness", "interfere", "discord"],
+    )
+    def test_range_error_is_found_before_reading_files(self, tmp_path, capsys, argv, flag):
+        missing = str(tmp_path / "missing.json")
+        files = (["--state", missing] if argv[0] == "discord"
+                 else ["--state-a", missing, "--state-b", missing])
+        code, out, err = run(capsys, [*argv, *files])
+        assert code == 1
+        assert f"error: {flag} must be >= " in err
         assert out == ""
 
     @pytest.mark.parametrize(
@@ -507,17 +563,34 @@ class TestTrimmedParser:
         assert build_parser(argv[0]).parse_args(argv) == build_parser().parse_args(argv)
 
 
+def run_fresh(code):
+    """stdout of ``python -c code`` in a fresh interpreter that imports src/."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout.strip()
+
+
 class TestStartup:
     def test_importing_the_cli_does_not_load_scipy(self):
-        """scipy.optimize loads on the first discord refinement, so the
-        other subcommands never pay for it."""
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        """The package does not use scipy, so importing the CLI leaves
+        scipy.optimize, the costliest part of scipy to import, unloaded."""
         code = "import sys, qwitness.cli; print('scipy.optimize' in sys.modules)"
-        done = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True, text=True,
-            timeout=120,
+        assert run_fresh(code) == "False"
+
+    def test_discord_search_does_not_load_scipy(self, tmp_path):
+        """The refinement stage is the package's own Nelder-Mead."""
+        path = state_path(tmp_path, "ab.json", epr_state().state, dims=(2, 2))
+        argv = ["discord", "--state", path, "--dims", "2", "2", "--grid", "4",
+                "--starts", "2", "--max-evals", "200", "--out", str(tmp_path / "r.json")]
+        code = (
+            "import sys; from qwitness.cli import dispatch; "
+            f"code = dispatch({argv!r}); "
+            "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
         )
-        assert done.returncode == 0, done.stderr
-        assert done.stdout.strip() == "False"
+        assert run_fresh(code) == "0 []"

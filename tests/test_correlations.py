@@ -523,3 +523,94 @@ class TestWitnessKernel:
         assert report.best_q == pytest.approx(best_q, abs=1e-12)
         assert report.evaluations == 4**4 + 200
         assert report.verdict == "quantum_correlated"
+
+
+def assert_matches_scipy(fun, x0, **options):
+    """correlations.minimize and scipy's Nelder-Mead under the same options
+    call ``fun`` at the same points and return bitwise-equal results."""
+    scipy_optimize = pytest.importorskip("scipy.optimize")
+    ours_calls, ref_calls = [], []
+
+    def recording(calls):
+        def wrapped(x):
+            calls.append(x.tobytes())
+            return fun(x)
+        return wrapped
+
+    ours = correlations.minimize(recording(ours_calls), x0, **options)
+    ref = scipy_optimize.minimize(
+        recording(ref_calls), x0, method="Nelder-Mead", options=options
+    )
+    assert ours_calls == ref_calls
+    assert ours.x.tobytes() == ref.x.tobytes()
+    assert np.float64(ours.fun).tobytes() == np.float64(ref.fun).tobytes()
+    assert (ours.nfev, ours.nit, ours.status) == (ref.nfev, ref.nit, ref.status)
+    return ours
+
+
+class TestNelderMead:
+    """The in-package simplex search is scipy's Nelder-Mead, bit for bit."""
+
+    @pytest.mark.parametrize(
+        "make, config",
+        [
+            (epr_state, SMALL),
+            (separable_example_state, OptimizerConfig(grid_points=6, starts=3)),
+            (lambda: BipartiteState(ginibre_state(4, 3, np.random.default_rng(40)), 2, 2),
+             OptimizerConfig(grid_points=6, starts=4, max_evals=400)),
+            # Eight calls per start: the 9-vertex initial simplex runs out.
+            (lambda: BipartiteState(ginibre_state(6, 2, np.random.default_rng(41)), 3, 2),
+             OptimizerConfig(scan_cap=500, starts=5, max_evals=40)),
+        ],
+        ids=["epr", "separable", "ginibre-2x2", "ginibre-3x2-short-budget"],
+    )
+    def test_witness_loss_from_every_start(self, monkeypatch, make, config):
+        starts = []
+        real_minimize = correlations.minimize
+
+        def minimize(fun, x0, **options):
+            starts.append((fun, np.array(x0), options))
+            return real_minimize(fun, x0, **options)
+
+        monkeypatch.setattr(correlations, "minimize", minimize)
+        maximize_witness(make(), config)
+        monkeypatch.undo()
+        assert len(starts) == config.starts
+        for fun, x0, options in starts:
+            assert_matches_scipy(fun, x0, **options)
+
+    @pytest.mark.parametrize("maxfev", range(5, 41))
+    def test_flat_witness_loss_of_a_product_state(self, maxfev):
+        """Most points score exactly 0 here, so the vertex order after each
+        sort hangs on argsort's order of ties."""
+        rng = np.random.default_rng(28)
+        rho = product_state(ginibre_state(2, 2, rng), ginibre_state(2, 2, rng))
+
+        def loss(x):
+            return -_witness_kernel(rho4_of(rho), _qubit_kets(x))
+
+        x0 = np.array([0.0, math.pi / 2.0, math.pi / 4.0, 0.0])
+        assert_matches_scipy(loss, x0, maxfev=maxfev, xatol=1e-10, fatol=1e-10)
+
+    def test_budget_spent_inside_a_shrink_step(self):
+        """On a constant objective every iteration reflects, contracts
+        inside and shrinks: 1 + 1 + 4 calls after the 5 initial ones. A
+        budget of 9 stops at the second shrink call, in the first iteration."""
+        res = assert_matches_scipy(
+            lambda x: 0.0, np.array([0.3, 0.0, 1.0, 2.0]),
+            maxfev=9, xatol=1e-10, fatol=1e-10,
+        )
+        assert (res.nfev, res.nit, res.status) == (9, 1, 1)
+
+    def test_converges_on_a_quadratic_that_overwrites_its_argument(self):
+        """The objective gets a copy: writing into it leaves the simplex alone."""
+        def quadratic(x):
+            value = float(np.sum((x - np.array([1.0, -2.0])) ** 2))
+            x[:] = np.nan
+            return value
+
+        res = assert_matches_scipy(
+            quadratic, np.array([0.0, 0.0]), maxfev=2000, xatol=1e-10, fatol=1e-10
+        )
+        assert res.status == 0
+        assert res.x == pytest.approx([1.0, -2.0], abs=1e-9)

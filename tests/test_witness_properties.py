@@ -1,4 +1,4 @@
-"""Property tests for the quantumness measure Q (hypothesis, derandomized)."""
+"""Property tests for Q and the cycle-trace identity (hypothesis, derandomized)."""
 
 import numpy as np
 import pytest
@@ -9,7 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from qwitness.qcore import DensityMatrix, conjugate_by_unitary
+from qwitness.interferometer import PermutationUnitary, permutation_expectation
+from qwitness.qcore import (
+    DensityMatrix,
+    RegisterLayout,
+    conjugate_by_unitary,
+    ginibre_state,
+    tensor_product,
+)
 from qwitness.witness import quantumness
 
 
@@ -66,3 +73,33 @@ class TestQuantumnessProperties:
             assert quantumness(*moved, method).q_value == pytest.approx(
                 quantumness(rho_a, rho_b, method).q_value, abs=1e-10
             )
+
+
+@st.composite
+def registers(draw):
+    """2 to 5 factors of dims 2 and 3, a state per factor, and a permutation
+    that moves each factor only into a slot of its own dim."""
+    dims = draw(st.lists(st.integers(2, 3), min_size=2, max_size=5))
+    order = draw(st.permutations(range(len(dims))))
+    mapping = list(range(len(dims)))
+    for d in set(dims):
+        slots = [s for s, ds in enumerate(dims) if ds == d]
+        for s, k in zip(slots, np.argsort([order[s] for s in slots], kind="stable")):
+            mapping[s] = slots[k]
+    perm = PermutationUnitary(RegisterLayout(tuple(dims)), tuple(mapping))
+    # Seeded Ginibre states: drawn floats are often real, and a cycle trace
+    # of real states cannot tell a cycle from its reverse.
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return perm, [ginibre_state(d, int(rng.integers(1, d + 1)), rng) for d in dims]
+
+
+class TestCycleTraceProperties:
+    @settings(derandomize=True, database=None, deadline=None, max_examples=100)
+    @given(registers())
+    def test_cycle_trace_equals_dense_trace(self, register):
+        perm, rhos = register
+        dense = rhos[0].matrix
+        for rho in rhos[1:]:
+            dense = tensor_product(dense, rho)
+        oracle = complex(np.trace(perm.matrix() @ dense))
+        assert permutation_expectation(perm, rhos) == pytest.approx(oracle, abs=1e-12)
