@@ -21,8 +21,9 @@ formatting, so parsing them back loses nothing. Fringe CSV rows are
 Exit codes: 0 success, 1 usage error, 2 invalid input data, 3 runtime or
 I/O failure. A flag value out of range is a usage error, found before any
 file is read; this covers `random-state --dim` below 1, `--shots` below 1,
-a `discord --dims` split with dim_a below 2 or dim_b below 1 and a
-non-finite `example --phi` or `--theta`. A `random-state --rank` outside
+a `--seed` outside [0, 2^64 - 1] (the range of RandomSpec), a `discord
+--dims` split with dim_a below 2 or dim_b below 1 and a non-finite
+`example --phi` or `--theta`. A `random-state --rank` outside
 [1, --dim] is a data error, as is a state file whose dim or dims is not a
 JSON integer or whose matrix entries are not JSON numbers. Results for a
 fixed seed are reproducible run to run; only the timing field of the
@@ -38,7 +39,6 @@ import math
 import re
 import sys
 import time
-from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
@@ -55,7 +55,7 @@ from .correlations import (
     separable_example_state,
 )
 from .interferometer import (
-    InterferometerSpec,
+    _cascade_spec,
     build_u1,
     build_u2,
     default_phase_grid,
@@ -67,7 +67,6 @@ from .qcore import (
     DensityMatrix,
     LayoutError,
     RandomSpec,
-    RegisterLayout,
     StateValidationError,
     random_density,
 )
@@ -75,7 +74,6 @@ from .witness import quantumness
 
 __all__ = [
     "SCHEMA_VERSION",
-    "RunReport",
     "load_state",
     "save_state",
     "write_fringes",
@@ -95,6 +93,8 @@ _INT_FLOORS = {
     "phases": 3, "seed": 0, "grid": 2, "starts": 1, "max_evals": 1, "dim": 1,
     "dims": (2, 1), "shots": 1,
 }
+# Largest accepted --seed: RandomSpec's range, on every subcommand.
+_SEED_MAX = 2**64 - 1
 _FINITE_FLOATS = ("phi", "theta")
 
 _NEGATIVE_FLOAT = re.compile(
@@ -104,29 +104,6 @@ _NEGATIVE_FLOAT = re.compile(
 
 class _UsageError(Exception):
     """Flag combination that the grammar allows but the command rejects."""
-
-
-@dataclass(frozen=True)
-class RunReport:
-    """Everything needed to trace one CLI run: inputs, results, provenance."""
-
-    schema_version: str
-    command: str
-    inputs: dict[str, dict[str, str]]
-    results: dict[str, Any]
-    seed: int | None
-    timing_ms: int
-
-    def to_json(self) -> str:
-        payload = {
-            "schema_version": self.schema_version,
-            "command": self.command,
-            "inputs": self.inputs,
-            "results": self.results,
-            "seed": self.seed,
-            "timing_ms": self.timing_ms,
-        }
-        return json.dumps(payload, indent=2) + "\n"
 
 
 def _digest(path: str) -> dict[str, str]:
@@ -256,9 +233,10 @@ def _add_interfere_args(p: argparse.ArgumentParser) -> None:
 def _add_discord_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--state", required=True, metavar="F")
     p.add_argument("--dims", type=int, nargs=2, required=True, metavar=("DA", "DB"))
-    p.add_argument("--grid", type=int, default=12, metavar="G")
-    p.add_argument("--starts", type=int, default=5, metavar="R")
-    p.add_argument("--max-evals", type=int, default=2000, metavar="N")
+    defaults = OptimizerConfig()
+    p.add_argument("--grid", type=int, default=defaults.grid_points, metavar="G")
+    p.add_argument("--starts", type=int, default=defaults.starts, metavar="R")
+    p.add_argument("--max-evals", type=int, default=defaults.max_evals, metavar="N")
     p.add_argument("--seed", type=int, default=0, metavar="S")
     p.add_argument("--out", default=None, metavar="F")
 
@@ -320,6 +298,8 @@ def _check_flag_ranges(args) -> None:
             low = " ".join(map(str, floors))
             got = " ".join(map(str, values))
             raise _UsageError(f"{flag} must be >= {low}, got {got}")
+    if getattr(args, "seed", 0) > _SEED_MAX:
+        raise _UsageError(f"--seed must be <= {_SEED_MAX}, got {args.seed}")
     for dest in _FINITE_FLOATS:
         value = getattr(args, dest, None)
         if value is not None and not math.isfinite(value):
@@ -358,22 +338,11 @@ def _cmd_interfere(args) -> tuple[dict, dict, int | None]:
         raise _UsageError("--shots applies only to --mode sampled")
     state_a = _load_single(args.state_a)
     state_b = _load_single(args.state_b)
-    if state_a.dim != state_b.dim:
-        raise LayoutError(
-            f"state dimensions differ: {state_a.dim} vs {state_b.dim}"
-        )
-    inputs = {"state_a": _digest(args.state_a), "state_b": _digest(args.state_b)}
-    d = state_a.dim
-    layout = RegisterLayout((d, d, d, d))
-    build = build_u1 if args.u == "u1" else build_u2
-    spec = InterferometerSpec(
-        unitary=build(layout),
-        inputs=(state_a, state_a, state_b, state_b),
-        phases=default_phase_grid(args.phases),
-        mode=args.mode,
-        shots_per_phase=args.shots or 0,
-        seed=args.seed,
+    spec = _cascade_spec(
+        build_u1 if args.u == "u1" else build_u2, state_a, state_b,
+        default_phase_grid(args.phases), args.mode, args.shots or 0, args.seed,
     )
+    inputs = {"state_a": _digest(args.state_a), "state_b": _digest(args.state_b)}
     fringes = run_interferometer(spec)
     write_fringes(fringes, args.fringes_out)
     vis = extract_visibility(fringes)
@@ -492,15 +461,15 @@ def dispatch(argv: list[str]) -> int:
     except (OSError, RuntimeError) as exc:
         print(f"qwitness {args.command}: {exc}", file=sys.stderr)
         return 3
-    report = RunReport(
-        schema_version=SCHEMA_VERSION,
-        command=args.command,
-        inputs=inputs,
-        results=results,
-        seed=seed,
-        timing_ms=int((time.perf_counter() - start) * 1000.0),
-    )
-    text = report.to_json()
+    report = {
+        "schema_version": SCHEMA_VERSION,
+        "command": args.command,
+        "inputs": inputs,
+        "results": results,
+        "seed": seed,
+        "timing_ms": int((time.perf_counter() - start) * 1000.0),
+    }
+    text = json.dumps(report, indent=2) + "\n"
     # random-state's --out is the state file; its report goes to stdout.
     out = None if args.command == "random-state" else getattr(args, "out", None)
     try:

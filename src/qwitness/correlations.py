@@ -36,6 +36,7 @@ from .qcore import (
     ATOL_STRUCT,
     DensityMatrix,
     LayoutError,
+    _psd_margins,
     as_operator,
     pure_state,
     tensor_product,
@@ -107,9 +108,9 @@ class PovmElement:
 
     def __post_init__(self):
         m = as_operator(self.op)
-        if np.max(np.abs(m - m.conj().T)) > ATOL_STRUCT:
+        herm_dev, low = _psd_margins(m)
+        if herm_dev > ATOL_STRUCT:
             raise ValueError("measurement element must be Hermitian within 1e-10")
-        low = float(np.linalg.eigvalsh((m + m.conj().T) / 2.0)[0])
         if low < -ATOL_STRUCT:
             raise ValueError(
                 f"measurement element must be PSD within 1e-10 (min eigenvalue {low})"
@@ -280,14 +281,13 @@ def projector_pair(angles: MeasurementAngles) -> tuple[PovmElement, PovmElement]
 
     psi1 = cos(theta)|0> + sin(theta)|1>,
     psi1_perp = sin(theta)|0> - cos(theta)|1>,
-    psi2 = cos(phi) psi1 + sin(phi) psi1_perp.
+    psi2 = cos(phi) psi1 + sin(phi) psi1_perp:
 
-    phi = 0 collapses the pair to twice the same projector.
+    the kets of :func:`_qubit_kets` at beta1 = beta2 = 0. phi = 0 collapses
+    the pair to twice the same projector.
     """
-    psi1 = np.array([math.cos(angles.theta), math.sin(angles.theta)])
-    perp = np.array([math.sin(angles.theta), -math.cos(angles.theta)])
-    psi2 = math.cos(angles.phi) * psi1 + math.sin(angles.phi) * perp
-    return PovmElement(np.outer(psi1, psi1)), PovmElement(np.outer(psi2, psi2))
+    kets = _qubit_kets(np.array([angles.theta, 0.0, angles.phi, 0.0]))
+    return tuple(PovmElement(np.outer(k, k.conj())) for k in kets)
 
 
 def epr_state() -> BipartiteState:

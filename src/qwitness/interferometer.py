@@ -378,6 +378,28 @@ def extract_visibility(fringes: FringeData) -> VisibilityEstimate:
     return VisibilityEstimate(v=v, alpha=alpha, stderr_v=stderr_v)
 
 
+def _cascade_spec(
+    build, rho_a: DensityMatrix, rho_b: DensityMatrix, phases, mode: str,
+    shots: int, seed: int,
+) -> InterferometerSpec:
+    """Experiment running cascade ``build`` on rho_a (x) rho_a (x) rho_b (x) rho_b.
+
+    ``build`` is :func:`build_u1` or :func:`build_u2`; the states must share
+    one dimension.
+    """
+    if rho_a.dim != rho_b.dim:
+        raise LayoutError(f"state dimensions differ: {rho_a.dim} vs {rho_b.dim}")
+    d = rho_a.dim
+    return InterferometerSpec(
+        unitary=build(RegisterLayout((d, d, d, d))),
+        inputs=(rho_a, rho_a, rho_b, rho_b),
+        phases=phases,
+        mode=mode,
+        shots_per_phase=shots,
+        seed=seed,
+    )
+
+
 def interferometric_quantumness(
     rho_a: DensityMatrix,
     rho_b: DensityMatrix,
@@ -394,24 +416,12 @@ def interferometric_quantumness(
     sampled mode also propagates ``stderr_q`` = 4 sqrt(se1^2 + se2^2). The
     two experiments use generators derived independently from ``seed``.
     """
-    if rho_a.dim != rho_b.dim:
-        raise LayoutError(f"state dimensions differ: {rho_a.dim} vs {rho_b.dim}")
     if phases is None:
         phases = default_phase_grid()
-    d = rho_a.dim
-    layout = RegisterLayout((d, d, d, d))
-    inputs = (rho_a, rho_a, rho_b, rho_b)
     sub_seeds = np.random.SeedSequence(int(seed)).generate_state(2, np.uint64)
     estimates = []
-    for build, sub_seed in ((build_u1, sub_seeds[0]), (build_u2, sub_seeds[1])):
-        spec = InterferometerSpec(
-            unitary=build(layout),
-            inputs=inputs,
-            phases=phases,
-            mode=mode,
-            shots_per_phase=shots,
-            seed=int(sub_seed),
-        )
+    for build, sub_seed in zip((build_u1, build_u2), sub_seeds):
+        spec = _cascade_spec(build, rho_a, rho_b, phases, mode, shots, int(sub_seed))
         estimates.append(extract_visibility(run_interferometer(spec)))
     vis1, vis2 = estimates
     stderr_q = 4.0 * float(np.hypot(vis1.stderr_v, vis2.stderr_v))

@@ -87,6 +87,17 @@ def dagger(m: np.ndarray) -> np.ndarray:
     return m.conj().T
 
 
+def _psd_margins(m: np.ndarray) -> tuple[float, float]:
+    """``(max |M - M^dag|, least eigenvalue of (M + M^dag) / 2)`` of ``m``.
+
+    The eigenvalues are those of the symmetrized matrix, so they stay
+    meaningful when ``m`` is Hermitian only to within a tolerance.
+    """
+    herm_dev = float(np.abs(m - dagger(m)).max())
+    min_eig = float(np.linalg.eigvalsh((m + dagger(m)) / 2.0)[0])
+    return herm_dev, min_eig
+
+
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
     """A validated quantum state: Hermitian, positive semidefinite, trace 1.
@@ -100,16 +111,12 @@ class DensityMatrix:
 
     def __post_init__(self):
         m = as_operator(self.matrix)
-        herm_dev = float(np.abs(m - dagger(m)).max())
+        herm_dev, min_eig = _psd_margins(m)
         if herm_dev > ATOL_STRUCT:
             raise StateValidationError(
                 "hermiticity", herm_dev,
                 f"matrix is not Hermitian: max |M - M^dag| = {herm_dev:.3e}",
             )
-        # Eigenvalues of the symmetrized matrix: robust against
-        # sub-tolerance asymmetry left in place above.
-        eigs = np.linalg.eigvalsh((m + dagger(m)) / 2.0)
-        min_eig = float(eigs[0])
         if min_eig < -ATOL_STRUCT:
             raise StateValidationError(
                 "positivity", min_eig,

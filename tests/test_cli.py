@@ -13,7 +13,13 @@ import pytest
 import qwitness.cli as cli
 from qwitness.cli import build_parser, dispatch, load_state, save_state
 from qwitness.correlations import BipartiteState, epr_state
-from qwitness.qcore import DensityMatrix, ginibre_state, pure_state
+from qwitness.qcore import (
+    DensityMatrix,
+    RandomSpec,
+    ginibre_state,
+    pure_state,
+    random_density,
+)
 
 PLUS = pure_state(np.array([1.0, 1.0]))
 ZERO = pure_state(np.array([1.0, 0.0]))
@@ -243,6 +249,23 @@ class TestInterfereCommand:
         assert run(capsys, argv)[0] == 0
         assert csv.read_bytes() == first
 
+    def test_exact_visibilities_are_the_witness_terms(self, tmp_path, capsys):
+        """interfere runs the cascades of witness --method interfere: in exact
+        mode its v is bitwise that command's v1_term (u1) or v2_term (u2)."""
+        rng = np.random.default_rng(47)
+        ab = ["--state-a", state_path(tmp_path, "a.json", ginibre_state(3, 2, rng)),
+              "--state-b", state_path(tmp_path, "b.json", ginibre_state(3, 3, rng))]
+        code, out, _ = run(capsys, ["witness", *ab, "--method", "interfere"])
+        assert code == 0
+        terms = report_of(out)["results"]
+        for u, term in (("u1", "v1_term"), ("u2", "v2_term")):
+            code, out, _ = run(
+                capsys,
+                ["interfere", "--u", u, *ab, "--fringes-out", str(tmp_path / "f.csv")],
+            )
+            assert code == 0
+            assert report_of(out)["results"]["v"] == terms[term]
+
     def test_dimension_mismatch_is_data_error(self, tmp_path, capsys):
         rng = np.random.default_rng(46)
         a = state_path(tmp_path, "a.json", ginibre_state(2, 2, rng))
@@ -354,6 +377,18 @@ class TestRandomStateCommand:
         assert run(capsys, argv)[0] == 0
         assert dest.read_bytes() == first
 
+    def test_largest_seed_is_accepted(self, tmp_path, capsys):
+        dest = tmp_path / "r.json"
+        code, out, _ = run(
+            capsys,
+            ["random-state", "--dim", "2", "--rank", "1", "--seed", str(2**64 - 1),
+             "--out", str(dest)],
+        )
+        assert code == 0
+        assert report_of(out)["seed"] == 2**64 - 1
+        expected = random_density(RandomSpec(dim=2, rank=1, seed=2**64 - 1))
+        np.testing.assert_array_equal(load_state(str(dest)).matrix, expected.matrix)
+
     def test_rank_out_of_range_is_data_error(self, tmp_path, capsys):
         code, _, err = run(
             capsys,
@@ -420,6 +455,24 @@ class TestExitCodes:
         assert code == 1
         assert f"error: {flag} must be >= " in err
         assert out == ""
+
+    @pytest.mark.parametrize("command", ["witness", "interfere", "discord", "random-state"])
+    def test_seed_beyond_64_bits_is_usage_error(self, tmp_path, capsys, command):
+        """Every --seed has RandomSpec's range, checked before any file is read."""
+        missing = str(tmp_path / "missing.json")
+        argv = {
+            "witness": ["--state-a", missing, "--state-b", missing],
+            "interfere": ["--u", "u1", "--state-a", missing, "--state-b", missing,
+                          "--fringes-out", str(tmp_path / "f.csv")],
+            "discord": ["--state", missing, "--dims", "2", "2"],
+            "random-state": ["--dim", "2", "--rank", "1",
+                             "--out", str(tmp_path / "r.json")],
+        }[command]
+        code, out, err = run(capsys, [command, *argv, "--seed", str(2**64)])
+        assert code == 1
+        assert f"error: --seed must be <= {2**64 - 1}, got {2**64}" in err
+        assert out == ""
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize(
         "flag, value", [("--phi", "nan"), ("--phi", "inf"), ("--theta", "-inf")]

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from qwitness.correlations import PovmElement
 from qwitness.qcore import (
     ATOL_EXACT,
     ATOL_STRUCT,
@@ -88,6 +89,43 @@ class TestValidateDensity:
             assert exc.magnitude == pytest.approx(-0.3, abs=1e-12)
         else:
             pytest.fail("expected StateValidationError")
+
+
+def _skewed(c):
+    """Unit-trace PSD matrix whose one asymmetry is c."""
+    return np.array([[0.5, c], [0.0, 0.5]])
+
+
+def _negative(e):
+    """Unit-trace Hermitian matrix whose least eigenvalue is -e."""
+    return np.diag([1.0 + e, -e])
+
+
+# check name -> (violating matrix of a given size, the size DensityMatrix
+# reports for it, the word PovmElement's message gives)
+VIOLATIONS = {
+    "hermiticity": (_skewed, 1.0, "Hermitian"),
+    "positivity": (_negative, -1.0, "PSD"),
+}
+
+
+@pytest.mark.parametrize("check", list(VIOLATIONS))
+@pytest.mark.parametrize("cls", [DensityMatrix, PovmElement], ids=lambda c: c.__name__)
+class TestStructuralTolerance:
+    """Both validators accept violations up to ATOL_STRUCT and reject beyond."""
+
+    def test_half_the_tolerance_is_accepted(self, cls, check):
+        cls(VIOLATIONS[check][0](0.5 * ATOL_STRUCT))
+
+    def test_twice_the_tolerance_is_rejected(self, cls, check):
+        make, sign, word = VIOLATIONS[check]
+        with pytest.raises(ValueError) as info:
+            cls(make(2.0 * ATOL_STRUCT))
+        if cls is DensityMatrix:
+            assert info.value.check == check
+            assert info.value.magnitude == pytest.approx(sign * 2.0 * ATOL_STRUCT)
+        else:
+            assert word in str(info.value)
 
 
 class TestTensorProduct:
