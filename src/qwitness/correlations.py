@@ -111,7 +111,7 @@ class PovmElement:
         herm_dev, low = _psd_margins(m)
         if herm_dev > ATOL_STRUCT:
             raise ValueError("measurement element must be Hermitian within 1e-10")
-        if low < -ATOL_STRUCT:
+        if low is not None:
             raise ValueError(
                 f"measurement element must be PSD within 1e-10 (min eigenvalue {low})"
             )

@@ -348,7 +348,10 @@ def extract_visibility(fringes: FringeData) -> VisibilityEstimate:
     The model is linear in (v cos alpha, v sin alpha), so the fit is a
     closed-form ordinary least squares solve: exact on noiseless fringes.
     For sampled fringes the per-point binomial variance p (1 - p) / shots
-    is propagated through the linear solve to ``stderr_v``.
+    is propagated through the linear solve to ``stderr_v``. A sampled
+    frequency of 0 or 1 has no spread of its own, so its variance is taken
+    at p clipped to [1 / (2 shots), 1 - 1 / (2 shots)]; every other
+    frequency k / shots already lies in that range.
     """
     if _distinct_circle_points(fringes.phases) < 3:
         raise ValueError("degenerate phase grid: need >= 3 distinct phases (mod 2 pi)")
@@ -366,7 +369,9 @@ def extract_visibility(fringes: FringeData) -> VisibilityEstimate:
     if np.any(fringes.shots > 0):
         var = np.zeros(len(fringes))
         active = fringes.shots > 0
-        var[active] = fringes.p0[active] * (1.0 - fringes.p0[active]) / fringes.shots[active]
+        n = fringes.shots[active]
+        p = np.clip(fringes.p0[active], 0.5 / n, 1.0 - 0.5 / n)
+        var[active] = p * (1.0 - p) / n
         gram_inv = np.linalg.inv(design.T @ design)
         cov = gram_inv @ design.T @ (var[:, None] * design) @ gram_inv
         cc = cov[1:, 1:]

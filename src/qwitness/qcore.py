@@ -13,16 +13,22 @@ Conventions
   the most significant index of the composite basis).
 - Structural checks (Hermiticity, positivity, trace) use ``ATOL_STRUCT``;
   identities that hold in exact arithmetic are tested at ``ATOL_EXACT``.
+- Positivity means that the symmetrized matrix ``S = (M + M^dag) / 2`` has
+  no eigenvalue below ``-ATOL_STRUCT``. A Cholesky factor of
+  ``S + (ATOL_STRUCT / 2) I`` that completes with a backward-error bound of
+  at most ``ATOL_STRUCT / 2`` proves it; otherwise ``eigvalsh(S)`` decides.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 ATOL_STRUCT = 1e-10
 ATOL_EXACT = 1e-12
+_UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2.0
 
 __all__ = [
     "ATOL_STRUCT",
@@ -76,7 +82,7 @@ def as_operator(m) -> np.ndarray:
         raise StateValidationError(
             "shape", 0.0, f"operator must be a square matrix, got shape {arr.shape}"
         )
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise StateValidationError("finiteness", np.inf, "operator has NaN/Inf entries")
     arr.setflags(write=False)
     return arr
@@ -87,15 +93,53 @@ def dagger(m: np.ndarray) -> np.ndarray:
     return m.conj().T
 
 
-def _psd_margins(m: np.ndarray) -> tuple[float, float]:
-    """``(max |M - M^dag|, least eigenvalue of (M + M^dag) / 2)`` of ``m``.
+def _herm_dev(m: np.ndarray) -> float:
+    """``max |M - M^dag|``: how far ``m`` is from Hermitian."""
+    return float(np.abs(m - dagger(m)).max())
 
-    The eigenvalues are those of the symmetrized matrix, so they stay
-    meaningful when ``m`` is Hermitian only to within a tolerance.
+
+def _sym_spectrum(m: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of the symmetrized matrix ``S = (M + M^dag) / 2``.
+
+    They stay meaningful when ``m`` is Hermitian only to within a tolerance.
     """
-    herm_dev = float(np.abs(m - dagger(m)).max())
-    min_eig = float(np.linalg.eigvalsh((m + dagger(m)) / 2.0)[0])
-    return herm_dev, min_eig
+    return np.linalg.eigvalsh((m + dagger(m)) / 2.0)
+
+
+def _psd_margins(m: np.ndarray) -> tuple[float, float | None]:
+    """``(max |M - M^dag|, least eigenvalue of S)`` of ``m``, the second
+    only when it is below ``-ATOL_STRUCT``, else ``None``.
+
+    ``S = (M + M^dag) / 2``. A Cholesky factor ``R`` of ``A = S + h I``,
+    ``h = ATOL_STRUCT / 2``, decides most matrices without an eigensolver.
+    By Higham (2002), Thm 10.3, a factor that runs to completion has
+    ``R^dag R = A + dA`` with ``|dA| <= g |R^dag| |R|`` entrywise, where
+    ``g = sqrt(2) gamma_{d+3}`` (``gamma_k = k u / (1 - k u)``) is
+    ``gamma_{d+1}`` for complex arithmetic (sec. 3.6). So
+    ``||dA||_2 <= g ||R||_F^2``, and ``||R||_F^2 = Tr(A + dA)`` is about
+    ``|Tr M| + d h``. The test is Higham's normwise ``d g ||R||_F^2 <= h``,
+    whose extra factor ``d`` also covers the rounding of the shift. When
+    it holds, ``A + dA`` is PSD and the least eigenvalue of ``S`` is at
+    least ``-h - ||dA||_2 >= -ATOL_STRUCT``. When the factor breaks down,
+    is not finite or fails the test, the eigenvalues of ``S`` decide.
+    """
+    herm_dev = _herm_dev(m)
+    d = m.shape[0]
+    shift = ATOL_STRUCT / 2.0
+    a = m + dagger(m)
+    a *= 0.5  # S, bitwise equal to (M + M^dag) / 2
+    a.flat[:: d + 1] += shift
+    try:
+        r = np.linalg.cholesky(a)
+    except np.linalg.LinAlgError:
+        pass
+    else:
+        k = (d + 3) * _UNIT_ROUNDOFF
+        gamma = math.sqrt(2.0) * k / (1.0 - k)
+        if d * gamma * np.vdot(r, r).real <= shift:  # NaN, from overflow, fails
+            return herm_dev, None
+    min_eig = float(_sym_spectrum(m)[0])
+    return herm_dev, min_eig if min_eig < -ATOL_STRUCT else None
 
 
 @dataclass(frozen=True, eq=False)
@@ -105,6 +149,14 @@ class DensityMatrix:
     Construction runs the full invariant check (tolerance ``ATOL_STRUCT``)
     and raises :class:`StateValidationError` naming the violated check.
     The wrapped array is a read-only copy.
+
+    Positivity is decided without an eigensolver when a Cholesky factor of
+    ``S + (ATOL_STRUCT / 2) I``, ``S = (M + M^dag) / 2``, completes and its
+    backward error, bounded by ``sqrt(2) d (d + 3) u (|Tr M| + d ATOL_STRUCT / 2)``
+    to first order (``u = 2^-53``), is at most ``ATOL_STRUCT / 2``: for
+    unit-trace matrices up to ``d`` of about 560. Otherwise ``eigvalsh(S)``
+    decides, and a rejection reports its least eigenvalue, so the decision
+    is the eigenvalue test's in either case.
     """
 
     matrix: np.ndarray
@@ -117,12 +169,12 @@ class DensityMatrix:
                 "hermiticity", herm_dev,
                 f"matrix is not Hermitian: max |M - M^dag| = {herm_dev:.3e}",
             )
-        if min_eig < -ATOL_STRUCT:
+        if min_eig is not None:
             raise StateValidationError(
                 "positivity", min_eig,
                 f"matrix has a negative eigenvalue: {min_eig:.3e}",
             )
-        trace_dev = float(abs(np.trace(m) - 1.0))
+        trace_dev = float(abs(m.trace() - 1.0))
         if trace_dev > ATOL_STRUCT:
             raise StateValidationError(
                 "trace", trace_dev,
@@ -140,8 +192,7 @@ class DensityMatrix:
 
     def eigenvalues(self) -> np.ndarray:
         """Ascending real spectrum of the symmetrized matrix."""
-        m = self.matrix
-        return np.linalg.eigvalsh((m + dagger(m)) / 2.0)
+        return _sym_spectrum(self.matrix)
 
 
 @dataclass(frozen=True)

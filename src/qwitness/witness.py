@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qcore import ATOL_STRUCT, DensityMatrix, LayoutError, _matrix_of, commutator_hs, dagger
+from .qcore import ATOL_STRUCT, DensityMatrix, LayoutError, _herm_dev, _matrix_of, commutator_hs
 
 __all__ = [
     "WitnessResult",
@@ -100,7 +100,7 @@ class ProbePair:
         a = _matrix_of(self.a)
         b = _matrix_of(self.b)
         for name, m in (("a", a), ("b", b)):
-            dev = float(np.abs(m - dagger(m)).max())
+            dev = _herm_dev(m)
             if dev > ATOL_STRUCT:
                 raise ValueError(f"probe {name} is not Hermitian: max dev {dev:.3e}")
         if a.shape != b.shape:

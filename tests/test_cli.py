@@ -184,6 +184,17 @@ class TestWitnessCommand:
         assert r1["seed"] == 9
         assert r1["results"]["stderr_q"] > 0.0
 
+    @pytest.mark.parametrize("seed", ["1", "2"])
+    def test_single_shot_interference_is_valid(self, tmp_path, capsys, seed):
+        """Phases seen 0 or 1 times in one shot still carry sampling noise."""
+        rng = np.random.default_rng(0)
+        a = state_path(tmp_path, "a.json", ginibre_state(2, 1, rng))
+        b = state_path(tmp_path, "b.json", ginibre_state(2, 2, rng))
+        code, out, err = run(capsys, ["witness", "--state-a", a, "--state-b", b,
+                                      "--method", "interfere", "--shots", "1", "--seed", seed])
+        assert (code, err) == (0, "")
+        assert report_of(out)["results"]["stderr_q"] > 0.0
+
     def test_report_goes_to_out_file(self, tmp_path, capsys):
         a = state_path(tmp_path, "a.json", ZERO)
         b = state_path(tmp_path, "b.json", PLUS)
@@ -248,6 +259,17 @@ class TestInterfereCommand:
         first = csv.read_bytes()
         assert run(capsys, argv)[0] == 0
         assert csv.read_bytes() == first
+
+    @pytest.mark.parametrize("u", ["u1", "u2"])
+    def test_single_shot_scan_is_valid(self, tmp_path, capsys, u):
+        rng = np.random.default_rng(0)
+        a = state_path(tmp_path, "a.json", ginibre_state(2, 1, rng))
+        b = state_path(tmp_path, "b.json", ginibre_state(2, 2, rng))
+        code, out, err = run(capsys, ["interfere", "--u", u, "--state-a", a, "--state-b", b,
+                                      "--mode", "sampled", "--shots", "1", "--phases", "3",
+                                      "--fringes-out", str(tmp_path / "f.csv")])
+        assert (code, err) == (0, "")
+        assert report_of(out)["results"]["stderr_v"] > 0.0
 
     def test_exact_visibilities_are_the_witness_terms(self, tmp_path, capsys):
         """interfere runs the cascades of witness --method interfere: in exact

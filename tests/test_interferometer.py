@@ -366,6 +366,26 @@ class TestExtractVisibility:
         assert abs(est.v - exact.v) <= 6.0 * est.stderr_v
 
 
+    def test_extreme_sampled_frequencies_keep_a_variance(self):
+        """A frequency of 0 or 1 is sampled, not exact: stderr_v stays > 0."""
+        fr = FringeData(np.asarray(default_phase_grid(3)), np.array([1.0, 0.0, 1.0]),
+                        np.ones(3, np.int64))
+        assert extract_visibility(fr).stderr_v > 0.0
+
+    def test_interior_frequencies_keep_their_binomial_variance(self):
+        phases = np.asarray(default_phase_grid(8))
+        shots = np.full(8, 40)
+        p0 = np.array([37, 30, 18, 6, 2, 9, 21, 33]) / 40
+        est = extract_visibility(FringeData(phases, p0, shots))
+        # p (1 - p) / shots propagated through the least-squares solve by hand
+        x = np.column_stack([np.ones(8), np.cos(phases), np.sin(phases)])
+        _, c1, c2 = np.linalg.lstsq(x, p0, rcond=None)[0]
+        g = np.linalg.inv(x.T @ x)
+        cov = (g @ x.T @ np.diag(p0 * (1.0 - p0) / shots) @ x @ g)[1:, 1:]
+        grad = 2.0 * np.array([c1, c2]) / np.hypot(c1, c2)
+        assert est.stderr_v == pytest.approx(np.sqrt(grad @ cov @ grad), rel=1e-12)
+
+
 class TestVisibilityEstimate:
     def test_bounds_checked(self):
         with pytest.raises(ValueError):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from qwitness import qcore
 from qwitness.correlations import PovmElement
 from qwitness.qcore import (
     ATOL_EXACT,
@@ -126,6 +127,138 @@ class TestStructuralTolerance:
             assert info.value.magnitude == pytest.approx(sign * 2.0 * ATOL_STRUCT)
         else:
             assert word in str(info.value)
+
+
+def _reference_outcome(cls, m):
+    """What ``cls(m)`` raises when eigvalsh decides every matrix.
+
+    The rule before the Cholesky certificate: same check order, check
+    names, magnitudes and messages. ``None`` for an accepted matrix.
+    """
+    m = np.array(m, dtype=complex)
+    herm_dev = float(np.abs(m - m.conj().T).max())
+    min_eig = float(np.linalg.eigvalsh((m + m.conj().T) / 2.0)[0])
+    if cls is PovmElement:
+        if herm_dev > ATOL_STRUCT:
+            return ("ValueError", None, None,
+                    "measurement element must be Hermitian within 1e-10")
+        if min_eig < -ATOL_STRUCT:
+            return ("ValueError", None, None,
+                    f"measurement element must be PSD within 1e-10 (min eigenvalue {min_eig})")
+        return None
+    if herm_dev > ATOL_STRUCT:
+        return ("StateValidationError", "hermiticity", herm_dev,
+                f"matrix is not Hermitian: max |M - M^dag| = {herm_dev:.3e}")
+    if min_eig < -ATOL_STRUCT:
+        return ("StateValidationError", "positivity", min_eig,
+                f"matrix has a negative eigenvalue: {min_eig:.3e}")
+    trace_dev = float(abs(np.trace(m) - 1.0))
+    if trace_dev > ATOL_STRUCT:
+        return ("StateValidationError", "trace", trace_dev,
+                f"trace deviates from 1 by {trace_dev:.3e}")
+    return None
+
+
+def _outcome(cls, m):
+    """What ``cls(m)`` raises, in the form of :func:`_reference_outcome`."""
+    try:
+        cls(m)
+    except ValueError as exc:
+        return (type(exc).__name__, getattr(exc, "check", None),
+                getattr(exc, "magnitude", None), str(exc))
+    return None
+
+
+def _with_least_eigenvalue(d, rank, least, rng, skew):
+    """Unit-trace matrix in a Haar-random basis with least eigenvalue ``least``.
+
+    ``min(rank, d - 1)`` random positive eigenvalues, zeros, and ``least``;
+    ``skew`` adds an anti-Hermitian part of that largest entry.
+    """
+    n_pos = min(rank, d - 1)
+    pos = rng.uniform(0.1, 1.0, size=n_pos)
+    evals = np.concatenate([pos / pos.sum() * (1.0 - least), np.zeros(d - 1 - n_pos), [least]])
+    q, r = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+    u = q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+    m = (u * evals) @ u.conj().T
+    k = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    k = k - k.conj().T
+    return m + skew * k / np.abs(k).max()
+
+
+LEAST_EIGENVALUES = (-2.0, -1.01, -1.0, -0.99, -0.75, -0.5, -0.49, -0.25, 0.0, 1.0)
+
+
+@pytest.fixture
+def spectrum_calls(monkeypatch):
+    """Dimensions of the matrices whose eigenvalues qcore computed."""
+    calls = []
+    spectrum = qcore._sym_spectrum
+
+    def spy(m):
+        calls.append(m.shape[0])
+        return spectrum(m)
+
+    monkeypatch.setattr(qcore, "_sym_spectrum", spy)
+    return calls
+
+
+class TestPositivityPaths:
+    """The Cholesky certificate decides exactly as eigvalsh alone did."""
+
+    @pytest.mark.parametrize("cls", [DensityMatrix, PovmElement], ids=lambda c: c.__name__)
+    @pytest.mark.parametrize("d", [1, 2, 3, 5, 8, 16, 32, 64])
+    def test_decisions_match_the_eigensolver(self, d, cls):
+        rng = np.random.default_rng([7, d])
+        accepted = []
+        for draw in range(5):
+            skew = 0.4 * ATOL_STRUCT if draw % 2 else 0.0
+            for rank in sorted({1, (d + 1) // 2, d}):
+                for least in LEAST_EIGENVALUES:
+                    m = _with_least_eigenvalue(d, rank, least * ATOL_STRUCT, rng, skew)
+                    expected = _reference_outcome(cls, m)
+                    assert _outcome(cls, m) == expected, (rank, least, draw)
+                    accepted.append(expected is None)
+        # d = 1 has no unit-trace matrix with a least eigenvalue near 0
+        assert 0 < sum(accepted) < len(accepted) or d == 1
+
+    def test_states_need_no_eigensolver(self, spectrum_calls):
+        rng = np.random.default_rng(5)
+        for d in (1, 2, 3, 5, 16, 64):
+            for rank in (1, d):
+                g = rng.normal(size=(d, rank)) + 1j * rng.normal(size=(d, rank))
+                m = g @ g.conj().T
+                DensityMatrix(m / np.trace(m).real)
+                PovmElement(m / np.abs(m).max())
+        assert spectrum_calls == []
+
+    def test_large_trace_falls_back_to_the_eigensolver(self, spectrum_calls):
+        # The factor completes, but its error bound grows with ||R||_F^2 ~ |Tr M|
+        m = 1e6 * ginibre_state(4, 4, np.random.default_rng(2)).matrix
+        for cls in (DensityMatrix, PovmElement):
+            assert _outcome(cls, m) == _reference_outcome(cls, m)
+        assert spectrum_calls == [4, 4]
+        with pytest.raises(StateValidationError) as info:
+            DensityMatrix(m)
+        assert info.value.check == "trace"
+
+    def test_factor_rejection_is_measured_and_accepted(self, spectrum_calls):
+        # S + (ATOL_STRUCT / 2) I has eigenvalue -ATOL_STRUCT / 4: no factor
+        m = _with_least_eigenvalue(3, 2, -0.75 * ATOL_STRUCT, np.random.default_rng(4), 0.0)
+        assert np.linalg.eigvalsh(m)[0] == pytest.approx(-0.75 * ATOL_STRUCT, rel=1e-3)
+        DensityMatrix(m)
+        PovmElement(m)
+        assert spectrum_calls == [3, 3]
+
+    def test_non_finite_factor_falls_back(self):
+        # M + M^dag overflows: the eigensolver decides, as before
+        big = 1e308
+        m = np.array([[1.0, 0.0, big], [0.0, 1.0, big], [big, big, 1.0]])
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(np.linalg.LinAlgError):
+                _reference_outcome(DensityMatrix, m)
+            with pytest.raises(np.linalg.LinAlgError):
+                DensityMatrix(m)
 
 
 class TestTensorProduct:
