@@ -47,7 +47,6 @@ from .correlations import (
     BipartiteState,
     MeasurementAngles,
     OptimizerConfig,
-    ZeroProbabilityError,
     correlation_witness,
     epr_state,
     maximize_witness,
@@ -63,13 +62,7 @@ from .interferometer import (
     interferometric_quantumness,
     run_interferometer,
 )
-from .qcore import (
-    DensityMatrix,
-    LayoutError,
-    RandomSpec,
-    StateValidationError,
-    random_density,
-)
+from .qcore import DensityMatrix, RandomSpec, random_density
 from .witness import quantumness
 
 __all__ = [
@@ -452,9 +445,6 @@ def dispatch(argv: list[str]) -> int:
     except _UsageError as exc:
         print(f"qwitness {args.command}: error: {exc}", file=sys.stderr)
         return 1
-    except (StateValidationError, LayoutError, ZeroProbabilityError) as exc:
-        print(f"qwitness {args.command}: invalid input: {exc}", file=sys.stderr)
-        return 2
     except (ValueError, KeyError, TypeError) as exc:
         print(f"qwitness {args.command}: invalid input: {exc}", file=sys.stderr)
         return 2

@@ -28,7 +28,7 @@ of a discord-style detector.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,6 +45,9 @@ from .witness import _trace_terms, quantumness
 
 __all__ = [
     "PROB_FLOOR",
+    "REFINE_TOL",
+    "VERDICT_THRESHOLD",
+    "SCAN_CAP",
     "BipartiteState",
     "PovmElement",
     "MeasurementAngles",
@@ -64,6 +67,12 @@ __all__ = [
 
 # Conditioning on an outcome at or below this probability is undefined.
 PROB_FLOOR = 1e-12
+# Nelder-Mead stops once the simplex spans this much in parameters and value.
+REFINE_TOL = 1e-10
+# maximize_witness reports quantum_correlated iff best_q exceeds this.
+VERDICT_THRESHOLD = 1e-8
+# Largest full scan grid; a bigger one is replaced by this many random points.
+SCAN_CAP = 50000
 
 
 class ZeroProbabilityError(ValueError):
@@ -201,29 +210,25 @@ class CqSpec:
             raise ValueError("b_basis must be orthonormal within 1e-10")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class OptimizerConfig:
-    """Search settings for :func:`maximize_witness`.
+    """Search settings for :func:`maximize_witness`, keyword-only.
 
     ``max_evals`` budgets the refinement stage (split across starts); the
     scan stage is governed by ``grid_points`` per parameter axis, falling
-    back to ``scan_cap`` seeded random points when the full grid would
-    exceed the cap. ``threshold`` separates the two verdicts.
+    back to SCAN_CAP random points drawn from ``seed`` when the full grid
+    would exceed that cap. Refinement stops at REFINE_TOL, and the verdict
+    threshold is the fixed VERDICT_THRESHOLD.
     """
 
     grid_points: int = 12
     starts: int = 5
-    tol: float = 1e-10
     max_evals: int = 2000
     seed: int = 0
-    threshold: float = 1e-8
-    scan_cap: int = 50000
 
     def __post_init__(self):
         if self.grid_points < 2 or self.starts < 1 or self.max_evals < 1:
             raise ValueError("grid_points >= 2, starts >= 1, max_evals >= 1 required")
-        if self.tol <= 0.0 or self.threshold <= 0.0 or self.scan_cap < 1:
-            raise ValueError("tol, threshold and scan_cap must be positive")
 
 
 @dataclass(frozen=True, eq=False)
@@ -234,7 +239,9 @@ class DiscordReport:
     best_kets are the corresponding measurement vectors on A. trace lists
     (parameters, q) for the scan optimum and each refinement start's
     optimum, in deterministic order. best_q never exceeds the largest
-    objective value actually evaluated.
+    objective value actually evaluated. ``verdict`` is
+    ``"quantum_correlated"`` when best_q exceeds ``threshold``
+    (VERDICT_THRESHOLD), else ``"no_violation_found"``.
     """
 
     best_q: float
@@ -242,21 +249,20 @@ class DiscordReport:
     best_kets: tuple[np.ndarray, np.ndarray]
     evaluations: int
     trace: tuple[tuple[tuple[float, ...], float], ...]
-    verdict: str
-    threshold: float = field(repr=False, default=1e-8)
+
+    threshold = VERDICT_THRESHOLD
 
     def __post_init__(self):
         if self.best_q < 0.0:
             raise ValueError("best_q must be nonnegative")
-        if self.verdict not in ("quantum_correlated", "no_violation_found"):
-            raise ValueError(f"unknown verdict {self.verdict!r}")
-        expected = (
-            "quantum_correlated" if self.best_q > self.threshold else "no_violation_found"
-        )
-        if self.verdict != expected:
-            raise ValueError("verdict inconsistent with best_q and threshold")
         for k in self.best_kets:
             k.setflags(write=False)
+
+    @property
+    def verdict(self) -> str:
+        if self.best_q > self.threshold:
+            return "quantum_correlated"
+        return "no_violation_found"
 
 
 def conditional_state(rho: BipartiteState, e: PovmElement) -> ConditionalState:
@@ -536,14 +542,14 @@ def _hyperspherical_ket(params: np.ndarray, dim: int) -> np.ndarray:
 
 
 def _scan_points(axes_span, config: OptimizerConfig) -> np.ndarray:
-    """Full product grid when it fits in scan_cap, else seeded random scan.
+    """Full product grid when it fits in SCAN_CAP, else seeded random scan.
 
     axes_span is a (low, high, periodic) triple per parameter: periodic
     axes exclude the right endpoint from the grid.
     """
     g = config.grid_points
     n_axes = len(axes_span)
-    if g**n_axes <= config.scan_cap:
+    if g**n_axes <= SCAN_CAP:
         axes = [
             np.linspace(lo, hi, g, endpoint=not periodic)
             for lo, hi, periodic in axes_span
@@ -552,7 +558,7 @@ def _scan_points(axes_span, config: OptimizerConfig) -> np.ndarray:
         return np.stack([m.ravel() for m in mesh], axis=1)
     rng = np.random.default_rng(config.seed)
     lows, highs, _ = np.array(axes_span).T
-    return rng.uniform(lows, highs, size=(config.scan_cap, n_axes))
+    return rng.uniform(lows, highs, size=(SCAN_CAP, n_axes))
 
 
 def maximize_witness(
@@ -611,16 +617,13 @@ def maximize_witness(
 
     maxfev = max(config.max_evals // len(starts), 8)
     for x0 in starts.values():
-        res = minimize(loss, x0, maxfev=maxfev, xatol=config.tol, fatol=config.tol)
+        res = minimize(loss, x0, maxfev=maxfev, xatol=REFINE_TOL, fatol=REFINE_TOL)
         trace.append((tuple(res.x), -res.fun))
 
-    verdict = "quantum_correlated" if best_q > config.threshold else "no_violation_found"
     return DiscordReport(
         best_q=best_q,
         best_params=tuple(float(t) for t in best_x),
         best_kets=tuple(kets_of(best_x)),
         evaluations=evaluations,
         trace=tuple(trace),
-        verdict=verdict,
-        threshold=config.threshold,
     )

@@ -411,18 +411,17 @@ def interferometric_quantumness(
     mode: str = "exact",
     shots: int = 0,
     seed: int = 0,
-    phases: tuple[float, ...] | None = None,
 ) -> WitnessResult:
     """Quantumness from two interference experiments: Q = 4 (v1 - v2).
 
     Runs the U1 and U2 cascades on rho_a (x) rho_a (x) rho_b (x) rho_b as
-    two separate experiments, extracts the visibilities v1, v2 and returns
-    Q = 4 (v1 - v2). Exact mode reproduces the algebraic value to ~1e-9;
-    sampled mode also propagates ``stderr_q`` = 4 sqrt(se1^2 + se2^2). The
-    two experiments use generators derived independently from ``seed``.
+    two separate experiments over the phases of :func:`default_phase_grid`,
+    extracts the visibilities v1, v2 and returns Q = 4 (v1 - v2). Exact
+    mode reproduces the algebraic value to ~1e-9; sampled mode also
+    propagates ``stderr_q`` = 4 sqrt(se1^2 + se2^2). The two experiments
+    use generators derived independently from ``seed``.
     """
-    if phases is None:
-        phases = default_phase_grid()
+    phases = default_phase_grid()
     sub_seeds = np.random.SeedSequence(int(seed)).generate_state(2, np.uint64)
     estimates = []
     for build, sub_seed in zip((build_u1, build_u2), sub_seeds):

@@ -122,6 +122,8 @@ def _psd_margins(m: np.ndarray) -> tuple[float, float | None]:
     it holds, ``A + dA`` is PSD and the least eigenvalue of ``S`` is at
     least ``-h - ||dA||_2 >= -ATOL_STRUCT``. When the factor breaks down,
     is not finite or fails the test, the eigenvalues of ``S`` decide.
+    A finite ``m`` whose ``M + M^dag`` overflows has no eigenvalues to
+    measure: it raises :class:`StateValidationError` (``"finiteness"``).
     """
     herm_dev = _herm_dev(m)
     d = m.shape[0]
@@ -138,6 +140,11 @@ def _psd_margins(m: np.ndarray) -> tuple[float, float | None]:
         gamma = math.sqrt(2.0) * k / (1.0 - k)
         if d * gamma * np.vdot(r, r).real <= shift:  # NaN, from overflow, fails
             return herm_dev, None
+    if not np.isfinite(a).all():
+        raise StateValidationError(
+            "finiteness", np.inf, "matrix is not finite once symmetrized: "
+            "(M + M^dag) / 2 overflows",
+        )
     min_eig = float(_sym_spectrum(m)[0])
     return herm_dev, min_eig if min_eig < -ATOL_STRUCT else None
 

@@ -551,6 +551,23 @@ class TestExitCodes:
         assert code == 2
         assert "trace" in err
 
+    def test_overflowing_state_is_data_error(self, tmp_path, capsys):
+        # finite entries whose M + M^dag overflows
+        bad = tmp_path / "bad.json"
+        big = 1e308
+        re = [[1.0, 0.0, big], [0.0, 1.0, big], [big, big, 1.0]]
+        bad.write_text(json.dumps({"dim": 3, "re": re, "im": [[0.0] * 3] * 3}))
+        b = state_path(tmp_path, "b.json", pure_state(np.array([1.0, 0.0, 0.0])))
+        with pytest.warns(RuntimeWarning):
+            code, _, err = run(
+                capsys, ["witness", "--state-a", str(bad), "--state-b", b]
+            )
+        assert code == 2
+        assert err == (
+            "qwitness witness: invalid input: matrix is not finite once "
+            "symmetrized: (M + M^dag) / 2 overflows\n"
+        )
+
     def test_missing_state_file_is_io_error(self, tmp_path, capsys):
         b = state_path(tmp_path, "b.json", PLUS)
         code, _, _ = run(

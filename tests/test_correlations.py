@@ -104,23 +104,18 @@ class TestTypes:
             OptimizerConfig(grid_points=1)
         with pytest.raises(ValueError):
             OptimizerConfig(starts=0)
-        with pytest.raises(ValueError):
-            OptimizerConfig(tol=0.0)
-        with pytest.raises(ValueError):
-            OptimizerConfig(threshold=-1e-3)
 
-    def test_discord_report_verdict_consistency(self):
-        kets = (np.array([1.0, 0.0]), np.array([0.0, 1.0]))
-        with pytest.raises(ValueError, match="inconsistent"):
-            DiscordReport(
-                best_q=0.5, best_params=(0.0,), best_kets=kets,
-                evaluations=1, trace=(), verdict="no_violation_found",
+    def test_discord_report_verdict_at_the_threshold(self):
+        def report(best_q):
+            kets = (np.array([1.0, 0.0]), np.array([0.0, 1.0]))
+            return DiscordReport(
+                best_q=best_q, best_params=(0.0,), best_kets=kets,
+                evaluations=1, trace=(),
             )
-        with pytest.raises(ValueError, match="verdict"):
-            DiscordReport(
-                best_q=0.5, best_params=(0.0,), best_kets=kets,
-                evaluations=1, trace=(), verdict="maybe",
-            )
+
+        assert report(1e-8).threshold == 1e-8
+        assert report(1e-8).verdict == "no_violation_found"
+        assert report(np.nextafter(1e-8, 1)).verdict == "quantum_correlated"
 
 
 class TestCqSpec:
@@ -411,7 +406,7 @@ def qutrit_kets(points):
 
 
 class TestWitnessKernel:
-    def test_batched_scan_is_bitwise_the_single_point_objective(self):
+    def test_batched_scan_is_bitwise_the_single_point_objective(self, monkeypatch):
         """The scan's one stacked evaluation and the refinement's one-point
         calls share arithmetic, so every scan value matches bit for bit."""
         rng = np.random.default_rng(33)
@@ -424,7 +419,8 @@ class TestWitnessKernel:
 
         rho = BipartiteState(ginibre_state(6, 4, rng), 3, 2)
         axes = ([(0.0, math.pi / 2.0, False)] * 2 + [(0.0, 2.0 * math.pi, True)] * 2) * 2
-        points = _scan_points(axes, OptimizerConfig(scan_cap=3000, seed=9))
+        monkeypatch.setattr(correlations, "SCAN_CAP", 3000)
+        points = _scan_points(axes, OptimizerConfig(seed=9))
         assert points.shape == (3000, 8)
         batched = _witness_kernel(rho4_of(rho), qutrit_kets(points))
         single = [_witness_kernel(rho4_of(rho), qutrit_kets(p)) for p in points]
@@ -502,11 +498,13 @@ class TestWitnessKernel:
         real_scan, real_minimize = correlations._scan_points, correlations.minimize
         monkeypatch.setattr(correlations, "_scan_points", scan_points)
         monkeypatch.setattr(correlations, "minimize", minimize)
+        # The 3x2 search scans 2000 random points; the EPR grid stays full.
+        monkeypatch.setattr(correlations, "SCAN_CAP", 2000)
         rng = np.random.default_rng(36)
         for rho, config in (
             (epr_state(), SMALL),
             (BipartiteState(ginibre_state(6, 2, rng), 3, 2),
-             OptimizerConfig(scan_cap=2000, starts=3, max_evals=300)),
+             OptimizerConfig(starts=3, max_evals=300)),
         ):
             scanned.clear()
             nfev.clear()
@@ -552,19 +550,20 @@ class TestNelderMead:
     """The in-package simplex search is scipy's Nelder-Mead, bit for bit."""
 
     @pytest.mark.parametrize(
-        "make, config",
+        "make, config, scan_cap",
         [
-            (epr_state, SMALL),
-            (separable_example_state, OptimizerConfig(grid_points=6, starts=3)),
+            (epr_state, SMALL, correlations.SCAN_CAP),
+            (separable_example_state, OptimizerConfig(grid_points=6, starts=3),
+             correlations.SCAN_CAP),
             (lambda: BipartiteState(ginibre_state(4, 3, np.random.default_rng(40)), 2, 2),
-             OptimizerConfig(grid_points=6, starts=4, max_evals=400)),
+             OptimizerConfig(grid_points=6, starts=4, max_evals=400), correlations.SCAN_CAP),
             # Eight calls per start: the 9-vertex initial simplex runs out.
             (lambda: BipartiteState(ginibre_state(6, 2, np.random.default_rng(41)), 3, 2),
-             OptimizerConfig(scan_cap=500, starts=5, max_evals=40)),
+             OptimizerConfig(starts=5, max_evals=40), 500),
         ],
         ids=["epr", "separable", "ginibre-2x2", "ginibre-3x2-short-budget"],
     )
-    def test_witness_loss_from_every_start(self, monkeypatch, make, config):
+    def test_witness_loss_from_every_start(self, monkeypatch, make, config, scan_cap):
         starts = []
         real_minimize = correlations.minimize
 
@@ -572,6 +571,7 @@ class TestNelderMead:
             starts.append((fun, np.array(x0), options))
             return real_minimize(fun, x0, **options)
 
+        monkeypatch.setattr(correlations, "SCAN_CAP", scan_cap)
         monkeypatch.setattr(correlations, "minimize", minimize)
         maximize_witness(make(), config)
         monkeypatch.undo()

@@ -250,15 +250,21 @@ class TestPositivityPaths:
         PovmElement(m)
         assert spectrum_calls == [3, 3]
 
-    def test_non_finite_factor_falls_back(self):
-        # M + M^dag overflows: the eigensolver decides, as before
+    def test_non_finite_factor_falls_back(self, spectrum_calls):
+        # M + M^dag overflows: eigvalsh cannot measure S, so the fallback
+        # names the finiteness check instead
         big = 1e308
         m = np.array([[1.0, 0.0, big], [0.0, 1.0, big], [big, big, 1.0]])
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(np.linalg.LinAlgError):
-                _reference_outcome(DensityMatrix, m)
-            with pytest.raises(np.linalg.LinAlgError):
-                DensityMatrix(m)
+        for cls in (DensityMatrix, PovmElement):
+            with np.errstate(over="ignore", invalid="ignore"):
+                with pytest.raises(np.linalg.LinAlgError):
+                    _reference_outcome(cls, m)
+            with pytest.warns(RuntimeWarning) as warned:
+                with pytest.raises(StateValidationError, match="not finite") as info:
+                    cls(m)
+            assert "overflow encountered" in str(warned[0].message)
+            assert (info.value.check, info.value.magnitude) == ("finiteness", np.inf)
+        assert spectrum_calls == []
 
 
 class TestTensorProduct:
