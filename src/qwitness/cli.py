@@ -125,7 +125,10 @@ def load_state(path: str) -> DensityMatrix | BipartiteState:
         raise ValueError(
             f"{path}: re/im must both be {dim}x{dim}, got {re.shape} and {im.shape}"
         )
-    state = DensityMatrix(re + 1j * im)
+    # A finite matrix whose M + M^dag overflows is rejected by the check
+    # itself; numpy's overflow warnings would only repeat it on stderr.
+    with np.errstate(over="ignore", invalid="ignore"):
+        state = DensityMatrix(re + 1j * im)
     if "dims" in doc:
         dims = doc["dims"]
         if not (isinstance(dims, list) and len(dims) == 2):

@@ -366,7 +366,7 @@ class _SimplexResult:
 
 
 class _BudgetSpent(Exception):
-    """The objective was called again after ``maxfev`` calls."""
+    """A point was asked for after ``maxfev`` of them."""
 
 
 def minimize(fun, x0, *, maxfev: int, xatol: float, fatol: float) -> _SimplexResult:
@@ -384,76 +384,100 @@ def minimize(fun, x0, *, maxfev: int, xatol: float, fatol: float) -> _SimplexRes
     objective gets a copy of the vertex, and the vertices are re-sorted
     by the default (unstable) ``argsort``, whose order of tied values
     steers the simplex on a flat objective.
+
+    The search itself is :func:`_simplex`, which asks for one value at a
+    time; this function answers each request with ``fun``.
+    :func:`maximize_witness` answers the requests of all its starts
+    together instead, one batched objective call per step.
+    """
+    run = _simplex(x0, maxfev=maxfev, xatol=xatol, fatol=fatol)
+    value = None
+    while True:
+        try:
+            x = run.send(value)
+        except StopIteration as done:
+            return done.value
+        value = fun(x)
+
+
+def _simplex(x0, *, maxfev: int, xatol: float, fatol: float):
+    """The search of :func:`minimize`, as a generator of the points to score.
+
+    Yields a copy of each point, to be sent back its value as a float;
+    returns the :class:`_SimplexResult`. The sequence of points depends
+    only on x0, the options and the values sent, so any caller that sends
+    the objective's value at each point reproduces ``minimize`` bit for
+    bit, whatever else it evaluates in between.
     """
     x0 = np.asarray(x0, dtype=np.float64).flatten()
     n = len(x0)
     nfev = 0
 
-    def f(x: np.ndarray) -> float:
+    def f(x: np.ndarray):
         nonlocal nfev
         if nfev >= maxfev:
             raise _BudgetSpent
         nfev += 1
-        return float(fun(np.copy(x)))
+        return float((yield x.copy()))
 
     sim = np.empty((n + 1, n), dtype=np.float64)
     sim[0] = x0
     for k in range(n):
-        y = np.array(x0, copy=True)
+        y = x0.copy()
         y[k] = (1 + 0.05) * y[k] if y[k] != 0 else 0.00025
         sim[k + 1] = y
     fsim = np.full((n + 1,), np.inf, dtype=float)
     try:
         for k in range(n + 1):
-            fsim[k] = f(sim[k])
+            fsim[k] = yield from f(sim[k])
     except _BudgetSpent:
         pass
     # scipy sorts twice here; a second unstable sort can reorder ties.
     for _ in range(2):
-        ind = np.argsort(fsim)
-        sim = np.take(sim, ind, 0)
-        fsim = np.take(fsim, ind, 0)
+        ind = fsim.argsort()
+        sim = sim.take(ind, 0)
+        fsim = fsim.take(ind, 0)
 
     iterations = 1
     while nfev < maxfev:
         try:
-            if (np.max(np.ravel(np.abs(sim[1:] - sim[0]))) <= xatol
-                    and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol):
+            if (np.abs(sim[1:] - sim[0]).max() <= xatol
+                    and np.abs(fsim[0] - fsim[1:]).max() <= fatol):
                 break
             xbar = np.add.reduce(sim[:-1], 0) / n
             xr = 2 * xbar - sim[-1]
-            fxr = f(xr)
+            fxr = yield from f(xr)
             if fxr < fsim[0]:
                 xe = 3 * xbar - 2 * sim[-1]
-                fxe = f(xe)
+                fxe = yield from f(xe)
                 sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
             elif fxr < fsim[-2]:
                 sim[-1], fsim[-1] = xr, fxr
             else:
                 if fxr < fsim[-1]:  # outside contraction
                     xc = 1.5 * xbar - 0.5 * sim[-1]
-                    fxc = f(xc)
+                    fxc = yield from f(xc)
                     accept = fxc <= fxr
                 else:  # inside contraction
                     xc = 0.5 * xbar + 0.5 * sim[-1]
-                    fxc = f(xc)
+                    fxc = yield from f(xc)
                     accept = fxc < fsim[-1]
                 if accept:
                     sim[-1], fsim[-1] = xc, fxc
                 else:  # shrink toward the best vertex
                     for j in range(1, n + 1):
                         sim[j] = sim[0] + 0.5 * (sim[j] - sim[0])
-                        fsim[j] = f(sim[j])
+                        fsim[j] = yield from f(sim[j])
             iterations += 1
         except _BudgetSpent:
             pass
-        ind = np.argsort(fsim)
-        sim = np.take(sim, ind, 0)
-        fsim = np.take(fsim, ind, 0)
+        ind = fsim.argsort()
+        sim = sim.take(ind, 0)
+        fsim = fsim.take(ind, 0)
 
     return _SimplexResult(
         x=sim[0],
-        fun=float(np.min(fsim)),
+        fun=float(fsim.min()),
         nfev=nfev,
         nit=iterations,
         status=1 if nfev >= maxfev else 0,
@@ -571,8 +595,15 @@ def maximize_witness(
     measurement ket by polar and phase angles (2 dim_a - 2 parameters per
     ket). The coarse scan scores its points in batched kernel calls on
     blocks of at most 2^16 / dim_b^2 points, so its temporaries do not
-    grow with the scan size; :func:`minimize` (Nelder-Mead) then refines
-    from the best distinct scan points in start order.
+    grow with the scan size. Nelder-Mead (:func:`minimize`) then refines
+    from the best distinct scan points, all starts in lockstep: each step
+    scores the next point of every start still running in one kernel
+    call (the one-point branch when a single start is left), and a start
+    drops out when its search ends. The batched kernel gives every point
+    the bits the one-point objective gives it, so each start's path is
+    that of ``minimize`` on ``-_witness_kernel(rho4, kets_of(x))``, and
+    the result is that of running the starts one after another: best_q
+    is the first maximum in the order scan, then each start's points.
     Deterministic for a given config. Zero-probability parameter points
     score 0 instead of raising.
     """
@@ -601,14 +632,6 @@ def maximize_witness(
     evaluations = len(points)
     trace: list[tuple[tuple[float, ...], float]] = [(tuple(best_x), best_q)]
 
-    def loss(x: np.ndarray) -> float:
-        nonlocal evaluations, best_q, best_x
-        evaluations += 1
-        q = _witness_kernel(rho4, kets_of(x))
-        if q > best_q:
-            best_q, best_x = q, np.array(x, dtype=np.float64)
-        return -q
-
     starts: dict[tuple[float, ...], np.ndarray] = {}  # distinct points, best first
     for idx in np.argsort(values)[::-1]:
         starts.setdefault(tuple(points[idx]), points[idx])
@@ -616,8 +639,32 @@ def maximize_witness(
             break
 
     maxfev = max(config.max_evals // len(starts), 8)
-    for x0 in starts.values():
-        res = minimize(loss, x0, maxfev=maxfev, xatol=REFINE_TOL, fatol=REFINE_TOL)
+    runs = [
+        _simplex(x0, maxfev=maxfev, xatol=REFINE_TOL, fatol=REFINE_TOL)
+        for x0 in starts.values()
+    ]
+    pending = {i: next(run) for i, run in enumerate(runs)}  # start -> its next point
+    peaks = [(-math.inf, None)] * len(runs)  # each start's first maximum
+    results = [None] * len(runs)
+    while pending:
+        xs = list(pending.values())
+        if len(xs) == 1:
+            qs = [_witness_kernel(rho4, kets_of(xs[0]))]
+        else:
+            qs = _witness_kernel(rho4, kets_of(np.stack(xs))).tolist()
+        for (i, x), q in zip(list(pending.items()), qs):
+            if q > peaks[i][0]:
+                peaks[i] = (q, x)
+            try:
+                pending[i] = runs[i].send(-q)
+            except StopIteration as done:
+                del pending[i]
+                results[i] = done.value
+
+    for (q, x), res in zip(peaks, results):
+        if q > best_q:
+            best_q, best_x = q, x
+        evaluations += res.nfev
         trace.append((tuple(res.x), -res.fun))
 
     return DiscordReport(

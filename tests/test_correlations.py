@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import types
 import warnings
 
 import numpy as np
@@ -405,6 +406,50 @@ def qutrit_kets(points):
     return _hyperspherical_ket(points.reshape(points.shape[:-1] + (2, -1)), 3)
 
 
+QUTRIT_AXES = ([(0.0, math.pi / 2.0, False)] * 2 + [(0.0, 2.0 * math.pi, True)] * 2) * 2
+
+
+def search_family(rho):
+    """(kets_of, axes_span) of maximize_witness for dim_a 2 or 3."""
+    return {2: (_qubit_kets, QUBIT_AXES), 3: (qutrit_kets, QUTRIT_AXES)}[rho.dim_a]
+
+
+def report_fields(report):
+    """Every DiscordReport field plus verdict, best_q and best_kets as bytes."""
+    out = {f.name: getattr(report, f.name) for f in dataclasses.fields(report)}
+    out["best_q"] = np.float64(report.best_q).tobytes()
+    out["best_kets"] = [k.tobytes() for k in report.best_kets]
+    out["verdict"] = report.verdict
+    return out
+
+
+def record_starts(monkeypatch):
+    """Wrap correlations._simplex, the search of each refinement start, and
+    return the list it fills: per start, x0, options, the points asked for
+    (as bytes), the values sent back and the final result."""
+    starts = []
+    real_simplex = correlations._simplex
+
+    def simplex(x0, **options):
+        start = types.SimpleNamespace(
+            x0=np.array(x0), options=options, points=[], values=[], result=None
+        )
+        starts.append(start)
+        run, value = real_simplex(x0, **options), None
+        while True:
+            try:
+                x = run.send(value)
+            except StopIteration as done:
+                start.result = done.value
+                return done.value
+            start.points.append(x.tobytes())
+            value = yield x
+            start.values.append(value)
+
+    monkeypatch.setattr(correlations, "_simplex", simplex)
+    return starts
+
+
 class TestWitnessKernel:
     def test_batched_scan_is_bitwise_the_single_point_objective(self, monkeypatch):
         """The scan's one stacked evaluation and the refinement's one-point
@@ -418,9 +463,8 @@ class TestWitnessKernel:
         assert batched.tobytes() == np.array(single).tobytes()
 
         rho = BipartiteState(ginibre_state(6, 4, rng), 3, 2)
-        axes = ([(0.0, math.pi / 2.0, False)] * 2 + [(0.0, 2.0 * math.pi, True)] * 2) * 2
         monkeypatch.setattr(correlations, "SCAN_CAP", 3000)
-        points = _scan_points(axes, OptimizerConfig(seed=9))
+        points = _scan_points(QUTRIT_AXES, OptimizerConfig(seed=9))
         assert points.shape == (3000, 8)
         batched = _witness_kernel(rho4_of(rho), qutrit_kets(points))
         single = [_witness_kernel(rho4_of(rho), qutrit_kets(p)) for p in points]
@@ -437,14 +481,9 @@ class TestWitnessKernel:
         whole = _witness_kernel(rho4_of(rho), _qubit_kets(points))
         assert blocked.tobytes() == whole.tobytes()
 
-        def fields(report):
-            out = {f.name: getattr(report, f.name) for f in dataclasses.fields(report)}
-            out["best_kets"] = [k.tobytes() for k in report.best_kets]
-            return out
-
         report = maximize_witness(rho)
         monkeypatch.setattr(correlations, "_SCAN_BLOCK_ENTRIES", len(points) * 8**2)
-        assert fields(report) == fields(maximize_witness(rho))
+        assert report_fields(report) == report_fields(maximize_witness(rho))
 
     def test_matches_correlation_witness_on_the_same_kets(self):
         rng = np.random.default_rng(34)
@@ -483,21 +522,16 @@ class TestWitnessKernel:
         assert report.verdict == "no_violation_found"
 
     def test_evaluations_are_scan_points_plus_refine_calls(self, monkeypatch):
-        scanned, nfev = [], []
+        scanned = []
 
         def scan_points(axes_span, config):
             points = real_scan(axes_span, config)
             scanned.append(len(points))
             return points
 
-        def minimize(*args, **kwargs):
-            res = real_minimize(*args, **kwargs)
-            nfev.append(res.nfev)
-            return res
-
-        real_scan, real_minimize = correlations._scan_points, correlations.minimize
+        real_scan = correlations._scan_points
         monkeypatch.setattr(correlations, "_scan_points", scan_points)
-        monkeypatch.setattr(correlations, "minimize", minimize)
+        starts = record_starts(monkeypatch)
         # The 3x2 search scans 2000 random points; the EPR grid stays full.
         monkeypatch.setattr(correlations, "SCAN_CAP", 2000)
         rng = np.random.default_rng(36)
@@ -507,9 +541,11 @@ class TestWitnessKernel:
              OptimizerConfig(starts=3, max_evals=300)),
         ):
             scanned.clear()
-            nfev.clear()
+            starts.clear()
             report = maximize_witness(rho, config)
-            assert len(nfev) == config.starts
+            assert len(starts) == config.starts
+            nfev = [start.result.nfev for start in starts]
+            assert [len(start.points) for start in starts] == nfev
             assert report.evaluations == scanned[0] + sum(nfev)
 
     @pytest.mark.parametrize(
@@ -564,20 +600,32 @@ class TestNelderMead:
         ids=["epr", "separable", "ginibre-2x2", "ginibre-3x2-short-budget"],
     )
     def test_witness_loss_from_every_start(self, monkeypatch, make, config, scan_cap):
-        starts = []
-        real_minimize = correlations.minimize
-
-        def minimize(fun, x0, **options):
-            starts.append((fun, np.array(x0), options))
-            return real_minimize(fun, x0, **options)
-
+        """Each start of the lockstep refinement asks for the points, and
+        returns the result, of scipy's run on the one-point loss."""
+        scipy_optimize = pytest.importorskip("scipy.optimize")
+        rho = make()
+        kets_of, _ = search_family(rho)
         monkeypatch.setattr(correlations, "SCAN_CAP", scan_cap)
-        monkeypatch.setattr(correlations, "minimize", minimize)
-        maximize_witness(make(), config)
-        monkeypatch.undo()
+        starts = record_starts(monkeypatch)
+        maximize_witness(rho, config)
         assert len(starts) == config.starts
-        for fun, x0, options in starts:
-            assert_matches_scipy(fun, x0, **options)
+        for start in starts:
+            ref_calls, ref_values = [], []
+
+            def loss(x):
+                ref_calls.append(x.tobytes())
+                ref_values.append(-_witness_kernel(rho4_of(rho), kets_of(x)))
+                return ref_values[-1]
+
+            ref = scipy_optimize.minimize(
+                loss, start.x0, method="Nelder-Mead", options=start.options
+            )
+            res = start.result
+            assert start.points == ref_calls
+            assert np.array(start.values).tobytes() == np.array(ref_values).tobytes()
+            assert res.x.tobytes() == ref.x.tobytes()
+            assert np.float64(res.fun).tobytes() == np.float64(ref.fun).tobytes()
+            assert (res.nfev, res.nit, res.status) == (ref.nfev, ref.nit, ref.status)
 
     @pytest.mark.parametrize("maxfev", range(5, 41))
     def test_flat_witness_loss_of_a_product_state(self, maxfev):
@@ -614,3 +662,104 @@ class TestNelderMead:
         )
         assert res.status == 0
         assert res.x == pytest.approx([1.0, -2.0], abs=1e-9)
+
+
+def sequential_search(rho, config):
+    """maximize_witness as it reads with its starts refined one after
+    another: ``minimize`` on the one-point loss from each start in order,
+    best_q raised only by a strictly larger value. Returns the report,
+    each start's result and every refinement value."""
+    rho4 = rho4_of(rho)
+    kets_of, axes_span = search_family(rho)
+    points = _scan_points(axes_span, config)
+    values = _scan_values(rho4, kets_of, points)
+    scan_best = int(np.argmax(values))
+    best_q, best_x = float(values[scan_best]), points[scan_best]
+    evaluations = len(points)
+    trace = [(tuple(best_x), best_q)]
+    refined = []
+
+    def loss(x):
+        nonlocal evaluations, best_q, best_x
+        evaluations += 1
+        q = _witness_kernel(rho4, kets_of(x))
+        refined.append(q)
+        if q > best_q:
+            best_q, best_x = q, np.array(x)
+        return -q
+
+    starts = {}
+    for idx in np.argsort(values)[::-1]:
+        starts.setdefault(tuple(points[idx]), points[idx])
+        if len(starts) == config.starts:
+            break
+    maxfev = max(config.max_evals // len(starts), 8)
+    results = []
+    for x0 in starts.values():
+        res = correlations.minimize(
+            loss, x0, maxfev=maxfev, xatol=correlations.REFINE_TOL,
+            fatol=correlations.REFINE_TOL,
+        )
+        results.append(res)
+        trace.append((tuple(res.x), -res.fun))
+    report = DiscordReport(
+        best_q=best_q,
+        best_params=tuple(float(t) for t in best_x),
+        best_kets=tuple(kets_of(best_x)),
+        evaluations=evaluations,
+        trace=tuple(trace),
+    )
+    return report, results, refined
+
+
+class TestLockstepRefinement:
+    """maximize_witness refines all starts in lockstep, one batched kernel
+    call per step, and reports exactly what the sequential search does."""
+
+    @pytest.mark.parametrize(
+        "make, config",
+        [
+            (epr_state, OptimizerConfig(grid_points=5, starts=3, max_evals=300)),
+            (separable_example_state, OptimizerConfig(grid_points=6, starts=4, max_evals=600)),
+            (lambda: BipartiteState(ginibre_state(4, 4, np.random.default_rng(50)), 2, 2),
+             OptimizerConfig(grid_points=5, starts=4, max_evals=800)),
+            (lambda: BipartiteState(ginibre_state(6, 6, np.random.default_rng(51)), 2, 3),
+             OptimizerConfig(grid_points=5, starts=3, max_evals=600)),
+            (lambda: BipartiteState(ginibre_state(6, 3, np.random.default_rng(52)), 3, 2),
+             OptimizerConfig(grid_points=3, starts=4, max_evals=800)),
+            (separable_example_state, OptimizerConfig(grid_points=4, starts=1, max_evals=300)),
+        ],
+        ids=["epr", "separable", "ginibre-2x2", "ginibre-2x3", "ginibre-3x2", "one-start"],
+    )
+    def test_matches_the_sequential_search(self, make, config):
+        rho = make()
+        report, results, _ = sequential_search(rho, config)
+        assert len(results) == config.starts
+        assert report_fields(maximize_witness(rho, config)) == report_fields(report)
+
+    def test_ties_on_a_flat_objective_go_to_the_first_start(self):
+        """On this product state the largest refinement value, above the
+        scan's, is reached from several starts, and a later start reaches
+        it in fewer steps: best_x is still the first start's first point
+        at it, not the first one the lockstep meets."""
+        rng = np.random.default_rng(31)
+        rho = product_state(pure_state(np.array([1.0, 0.0])), ginibre_state(2, 2, rng))
+        config = OptimizerConfig(grid_points=5, starts=4, max_evals=400)
+        report, results, refined = sequential_search(rho, config)
+        assert report.best_q > report.trace[0][1]
+        steps_to_best = []
+        for res in results:
+            values, refined = refined[: res.nfev], refined[res.nfev :]
+            if report.best_q in values:
+                steps_to_best.append(values.index(report.best_q))
+        assert len(steps_to_best) > 1 and min(steps_to_best[1:]) < steps_to_best[0]
+        assert report_fields(maximize_witness(rho, config)) == report_fields(report)
+
+    def test_starts_leave_the_lockstep_at_different_steps(self):
+        """Some starts converge while others spend their budget, so the
+        batch shrinks step by step down to the one-point branch."""
+        config = OptimizerConfig(grid_points=6, starts=7, max_evals=2100)
+        report, results, _ = sequential_search(epr_state(), config)
+        assert {res.status for res in results} == {0, 1}
+        assert len({res.nfev for res in results}) > 2
+        assert report_fields(maximize_witness(epr_state(), config)) == report_fields(report)
