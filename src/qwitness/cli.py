@@ -24,8 +24,11 @@ file is read; this covers `random-state --dim` below 1, `--shots` below 1,
 a `--seed` outside [0, 2^64 - 1] (the range of RandomSpec), a `discord
 --dims` split with dim_a below 2 or dim_b below 1 and a non-finite
 `example --phi` or `--theta`. A `random-state --rank` outside
-[1, --dim] is a data error, as is a state file whose dim or dims is not a
-JSON integer or whose matrix entries are not JSON numbers. Results for a
+[1, --dim] is a data error, as is a state file that is not UTF-8 JSON or
+whose dim or dims is not a JSON integer or whose matrix entries are not
+JSON numbers. An allocation the host cannot satisfy is a runtime failure
+(3), reported on one stderr line. Each input file is read once: the
+digest in the report is of the bytes that were parsed. Results for a
 fixed seed are reproducible run to run; only the timing field of the
 report varies.
 """
@@ -99,19 +102,21 @@ class _UsageError(Exception):
     """Flag combination that the grammar allows but the command rejects."""
 
 
-def _digest(path: str) -> dict[str, str]:
-    with open(path, "rb") as fh:
-        return {"path": path, "sha256": hashlib.sha256(fh.read()).hexdigest()}
-
-
-def load_state(path: str) -> DensityMatrix | BipartiteState:
+def load_state(
+    path: str, *, data: bytes | None = None
+) -> DensityMatrix | BipartiteState:
     """Parse and validate a JSON state file.
 
     Returns a BipartiteState when the document carries "dims", else a
-    plain DensityMatrix.
+    plain DensityMatrix. ``data`` is the file's content when the caller
+    has read it already (the CLI hashes the bytes it parses); by default
+    the file is read here.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+    if data is None:
+        data = _read(path)
+    # Decoded as text-mode open() did: strict UTF-8 (a BOM stays a JSON
+    # error) with universal newlines, so error positions are unchanged.
+    doc = json.loads(data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n"))
     if not isinstance(doc, dict):
         raise ValueError(f"{path}: state file must be a JSON object")
     for key in ("dim", "re", "im"):
@@ -136,6 +141,18 @@ def load_state(path: str) -> DensityMatrix | BipartiteState:
         da, db = (_json_int(path, f"dims[{i}]", d) for i, d in enumerate(dims))
         return BipartiteState(state, da, db)
     return state
+
+
+def _read(path: str) -> bytes:
+    with open(path, "rb") as fh:
+        return fh.read()
+
+
+def _load_input(path: str) -> tuple[DensityMatrix | BipartiteState, dict[str, str]]:
+    """The state in ``path`` and its report digest, both from one read."""
+    data = _read(path)
+    state = load_state(path, data=data)
+    return state, {"path": path, "sha256": hashlib.sha256(data).hexdigest()}
 
 
 def _json_int(path: str, key: str, value: Any) -> int:
@@ -251,35 +268,48 @@ def _add_random_state_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", required=True, metavar="F")
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The argument parser: every subcommand, or only ``command``.
+def build_parser() -> argparse.ArgumentParser:
+    """The full ``qwitness`` parser, with all five subcommands.
 
-    ``command=None`` builds all five subparsers. A subcommand name builds
-    only that one, for argv whose first item is that name: the usage line
-    still lists all five names, so help text, errors and exit codes match
-    the full parser's, but any other subcommand name is rejected. The
-    subparsers' argument setup is most of the parse time of a command.
+    dispatch parses a named subcommand with that subcommand's parser
+    alone, which prints the same help and errors. It uses this parser for
+    help, no arguments and unknown names, and to report the arguments a
+    subcommand leaves unparsed, as the nested parse would.
     """
     parser = _Parser(
         prog="qwitness",
         description="Commutator-based quantumness and quantum-correlation detection.",
     )
-    # argparse derives the usage text from the choices, so a trimmed parser
-    # spells out every name. The full parser keeps the default (None),
-    # under which errors about the positional itself call it "command".
-    metavar = None if command is None else "{" + ",".join(_SUBCOMMANDS) + "}"
-    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
-    for name in _SUBCOMMANDS if command is None else (command,):
-        help_text, add_args, _ = _SUBCOMMANDS[name]
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, add_args, _) in _SUBCOMMANDS.items():
         add_args(sub.add_parser(name, help=help_text))
     return parser
 
 
-def _load_single(path: str) -> DensityMatrix:
-    state = load_state(path)
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """Parse ``argv`` as ``build_parser().parse_args`` does, with the same
+    help, errors and exit codes (raised as SystemExit).
+
+    A named subcommand is parsed by its own parser alone; help, no
+    arguments and unknown names go to the full parser.
+    """
+    if not argv or argv[0] not in _SUBCOMMANDS:
+        return build_parser().parse_args(argv)
+    name = argv[0]
+    parser = _Parser(prog=f"qwitness {name}")
+    _SUBCOMMANDS[name][1](parser)
+    args, extras = parser.parse_known_args(argv[1:])
+    if extras:
+        build_parser().error(f"unrecognized arguments: {' '.join(extras)}")
+    args.command = name
+    return args
+
+
+def _load_single(path: str) -> tuple[DensityMatrix, dict[str, str]]:
+    state, digest = _load_input(path)
     if isinstance(state, BipartiteState):
         raise ValueError(f"{path}: expected a single-system state, file carries dims")
-    return state
+    return state, digest
 
 
 def _check_flag_ranges(args) -> None:
@@ -305,9 +335,9 @@ def _check_flag_ranges(args) -> None:
 def _cmd_witness(args) -> tuple[dict, dict, int | None]:
     if args.shots is not None and args.method != "interfere":
         raise _UsageError("--shots applies only to --method interfere")
-    state_a = _load_single(args.state_a)
-    state_b = _load_single(args.state_b)
-    inputs = {"state_a": _digest(args.state_a), "state_b": _digest(args.state_b)}
+    state_a, digest_a = _load_single(args.state_a)
+    state_b, digest_b = _load_single(args.state_b)
+    inputs = {"state_a": digest_a, "state_b": digest_b}
     if args.method in _METHOD_NAMES:
         res = quantumness(state_a, state_b, method=_METHOD_NAMES[args.method])
         seed = None
@@ -332,13 +362,13 @@ def _cmd_interfere(args) -> tuple[dict, dict, int | None]:
         raise _UsageError("--mode sampled requires --shots N with N >= 1")
     if args.mode == "exact" and args.shots is not None:
         raise _UsageError("--shots applies only to --mode sampled")
-    state_a = _load_single(args.state_a)
-    state_b = _load_single(args.state_b)
+    state_a, digest_a = _load_single(args.state_a)
+    state_b, digest_b = _load_single(args.state_b)
     spec = _cascade_spec(
         build_u1 if args.u == "u1" else build_u2, state_a, state_b,
         default_phase_grid(args.phases), args.mode, args.shots or 0, args.seed,
     )
-    inputs = {"state_a": _digest(args.state_a), "state_b": _digest(args.state_b)}
+    inputs = {"state_a": digest_a, "state_b": digest_b}
     fringes = run_interferometer(spec)
     write_fringes(fringes, args.fringes_out)
     vis = extract_visibility(fringes)
@@ -356,7 +386,7 @@ def _cmd_interfere(args) -> tuple[dict, dict, int | None]:
 
 
 def _cmd_discord(args) -> tuple[dict, dict, int | None]:
-    loaded = load_state(args.state)
+    loaded, digest = _load_input(args.state)
     da, db = args.dims
     if isinstance(loaded, BipartiteState):
         if (loaded.dim_a, loaded.dim_b) != (da, db):
@@ -367,7 +397,7 @@ def _cmd_discord(args) -> tuple[dict, dict, int | None]:
         state = loaded
     else:
         state = BipartiteState(loaded, da, db)
-    inputs = {"state": _digest(args.state)}
+    inputs = {"state": digest}
     config = OptimizerConfig(
         grid_points=args.grid,
         starts=args.starts,
@@ -434,11 +464,8 @@ _SUBCOMMANDS = {
 
 def dispatch(argv: list[str]) -> int:
     """Run one CLI invocation; returns the process exit code."""
-    # Only the named subcommand's parser is built; help, no arguments and
-    # unknown names fall through to the full parser.
-    parser = build_parser(argv[0] if argv and argv[0] in _SUBCOMMANDS else None)
     try:
-        args = parser.parse_args(argv)
+        args = _parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
     start = time.perf_counter()
@@ -453,6 +480,10 @@ def dispatch(argv: list[str]) -> int:
         return 2
     except (OSError, RuntimeError) as exc:
         print(f"qwitness {args.command}: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:
+        # numpy names the allocation; the interpreter's own has no message.
+        print(f"qwitness {args.command}: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 3
     report = {
         "schema_version": SCHEMA_VERSION,

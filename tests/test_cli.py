@@ -1,5 +1,6 @@
 """End-to-end CLI checks through dispatch(): exit codes, reports, files."""
 
+import hashlib
 import json
 import math
 import os
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 
 import qwitness.cli as cli
-from qwitness.cli import build_parser, dispatch, load_state, save_state
+from qwitness.cli import _parse_args, build_parser, dispatch, load_state, save_state
 from qwitness.correlations import BipartiteState, epr_state
 from qwitness.qcore import (
     DensityMatrix,
@@ -128,6 +129,88 @@ class TestStateIO:
         code, _, err = run(capsys, ["witness", "--state-a", str(path), "--state-b", str(path)])
         assert code == 2
         assert f"{path}: {message}" in err
+
+    @pytest.mark.parametrize(
+        "raw, message",
+        [
+            (b"\xef\xbb\xbf" + json.dumps({"dim": 1, "re": [[1]], "im": [[0]]}).encode(),
+             "Unexpected UTF-8 BOM (decode using utf-8-sig): line 1 column 1 (char 0)"),
+            (b'{"dim": 1, "re": [[1]], "im": [[0]], "note": "\xff"}',
+             "'utf-8' codec can't decode byte 0xff in position 46: invalid start byte"),
+            # Universal newlines, as text-mode open() reads: positions count
+            # "\r\n" and "\r" as one character.
+            (b'{\r\n"dim": 1,\r\n oops}',
+             "Expecting property name enclosed in double quotes: line 3 column 2 (char 13)"),
+            (b'{\r"dim": 1,\r oops}',
+             "Expecting property name enclosed in double quotes: line 3 column 2 (char 13)"),
+        ],
+        ids=["bom", "not-utf-8", "crlf", "cr"],
+    )
+    def test_undecodable_file_is_data_error(self, tmp_path, capsys, raw, message):
+        path = tmp_path / "a.json"
+        path.write_bytes(raw)
+        with pytest.raises(ValueError) as info:
+            load_state(str(path))
+        assert str(info.value) == message
+        code, _, err = run(capsys, ["witness", "--state-a", str(path), "--state-b", str(path)])
+        assert (code, err) == (2, f"qwitness witness: invalid input: {message}\n")
+
+
+class TestInputReads:
+    """Each input file is read once; its digest is of the bytes parsed."""
+
+    @staticmethod
+    def argv_and_inputs(tmp_path):
+        a = state_path(tmp_path, "a.json", ZERO)
+        b = state_path(tmp_path, "b.json", PLUS)
+        ab = state_path(tmp_path, "ab.json", epr_state().state, dims=(2, 2))
+        fringes = str(tmp_path / "f.csv")
+        return [
+            (["witness", "--state-a", a, "--state-b", b], [a, b]),
+            (["witness", "--state-a", a, "--state-b", b, "--method", "interfere"], [a, b]),
+            (["interfere", "--u", "u2", "--state-a", a, "--state-b", b,
+              "--fringes-out", fringes], [a, b]),
+            (["discord", "--state", ab, "--dims", "2", "2", "--grid", "4", "--starts", "2",
+              "--max-evals", "100"], [ab]),
+        ]
+
+    def test_each_input_is_opened_once(self, tmp_path, capsys, monkeypatch):
+        opened = []
+
+        def counting_open(file, *args, **kwargs):
+            opened.append(file)
+            return open(file, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "open", counting_open, raising=False)
+        for argv, inputs in self.argv_and_inputs(tmp_path):
+            opened.clear()
+            code, out, _ = run(capsys, argv)
+            assert code == 0
+            assert [opened.count(path) for path in inputs] == [1] * len(inputs)
+            digests = [d["sha256"] for d in report_of(out)["inputs"].values()]
+            assert digests == [
+                hashlib.sha256(Path(path).read_bytes()).hexdigest() for path in inputs
+            ]
+
+    def test_digest_is_of_the_bytes_parsed(self, tmp_path, capsys, monkeypatch):
+        parsed = {}
+        load = cli.load_state
+
+        def load_then_replace(path, **kwargs):
+            state = load(path, **kwargs)
+            parsed[path] = Path(path).read_bytes()
+            save_state(pure_state(np.array([0.6, 0.8])), path)
+            return state
+
+        monkeypatch.setattr(cli, "load_state", load_then_replace)
+        for argv, inputs in self.argv_and_inputs(tmp_path):
+            parsed.clear()
+            code, out, _ = run(capsys, argv)
+            assert code == 0
+            digests = [d["sha256"] for d in report_of(out)["inputs"].values()]
+            assert digests == [hashlib.sha256(parsed[path]).hexdigest() for path in inputs]
+            for path in inputs:  # the next command reads the original again
+                Path(path).write_bytes(parsed[path])
 
 
 class TestWitnessCommand:
@@ -594,6 +677,30 @@ class TestExitCodes:
         assert code == 3
         assert "cannot write report" in err
 
+    @pytest.mark.parametrize(
+        "error, message",
+        [
+            (MemoryError("Unable to allocate 5.96 GiB for an array with shape "
+                         "(20000, 20000) and data type complex128"),
+             "Unable to allocate 5.96 GiB for an array with shape "
+             "(20000, 20000) and data type complex128"),
+            (MemoryError(), "out of memory"),
+        ],
+        ids=["numpy", "bare"],
+    )
+    def test_allocation_failure_is_runtime_error(
+        self, tmp_path, capsys, monkeypatch, error, message
+    ):
+        def exhausted(spec):
+            raise error
+
+        monkeypatch.setattr(cli, "random_density", exhausted)
+        path = tmp_path / "r.json"
+        argv = ["random-state", "--dim", "20000", "--rank", "1", "--seed", "1",
+                "--out", str(path)]
+        assert run(capsys, argv) == (3, "", f"qwitness random-state: {message}\n")
+        assert not path.exists()
+
 
 # The required flags of each subcommand; files are never read by the parser.
 MINIMAL_ARGV = {
@@ -621,7 +728,25 @@ VALID_ARGV = [
     ["example", "separable", "--phi", "0.6", "--theta", "0.8", "--out", "r.json"],
     ["example", "epr", "--phi", "0.5", "--theta", "inf"],
     ["random-state", "--dim", "0", "--rank", "5", "--seed", "-1", "--out", "r.json"],
+    ["example", "--phi", "0.5", "--", "epr"],
+    [*MINIMAL_ARGV["witness"], "--meth", "trace"],
+    ["example", "epr", "--phi=-1e-3"],
+    ["example", "epr", "--phi", "-1e-3", "--th", "-.5"],
+    [*MINIMAL_ARGV["witness"], "--seed", "1", "--seed", "2", "--method", "trace"],
+    [*MINIMAL_ARGV["random-state"], "--out", "s.json"],
 ]
+
+
+def full_parse(capsys, argv):
+    """The oracle for dispatch's parse: ``build_parser().parse_args(argv)``,
+    as (exit code or None, stdout, stderr)."""
+    try:
+        build_parser().parse_args(argv)
+        code = None
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
 
 
 class TestTrimmedParser:
@@ -637,19 +762,30 @@ class TestTrimmedParser:
             *([*argv, "--bogus"] for argv in MINIMAL_ARGV.values()),
             ["witness", "--state-a", "a.json"],
             ["interfere", "--u", "u3"],
+            *([*argv, "stray"] for argv in MINIMAL_ARGV.values()),
+            ["example", "--", "epr", "--phi", "0.5"],
+            ["example", "epr", "--phi", "--", "0.5"],
+            ["witness", "--state-a", "--", "a.json", "--state-b", "b.json"],
+            [*MINIMAL_ARGV["witness"], "--", "--method", "trace"],
+            ["witness", "--state", "a.json", "--state-b", "b.json"],
+            ["interfere", "--u", "u3", "-h"],
+            [*MINIMAL_ARGV["witness"], "--method", "bogus", "-h"],
+            ["example", "bell", "-h"],
+            ["example", "epr", "--phi", "x", "-h"],
         ],
         ids=lambda argv: " ".join(argv) or "no-args",
     )
     def test_output_matches_the_full_parser(self, monkeypatch, capsys, argv):
-        monkeypatch.setenv("COLUMNS", "80")
-        trimmed = run(capsys, argv)
-        monkeypatch.setattr(cli, "build_parser", lambda command=None: build_parser())
-        assert trimmed == run(capsys, argv)
-        assert trimmed[0] in (0, 1)
+        for columns in ("80", "200"):
+            monkeypatch.setenv("COLUMNS", columns)
+            expected = full_parse(capsys, argv)
+            assert expected[0] in (0, 1)
+            assert run(capsys, argv) == expected
 
     @pytest.mark.parametrize("argv", VALID_ARGV, ids=lambda argv: " ".join(argv))
-    def test_namespace_matches_the_full_parser(self, argv):
-        assert build_parser(argv[0]).parse_args(argv) == build_parser().parse_args(argv)
+    def test_namespace_matches_the_full_parser(self, capsys, argv):
+        assert _parse_args(argv) == build_parser().parse_args(argv)
+        assert capsys.readouterr() == ("", "")
 
 
 def run_fresh(code):
