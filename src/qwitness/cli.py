@@ -26,11 +26,17 @@ a `--seed` outside [0, 2^64 - 1] (the range of RandomSpec), a `discord
 `example --phi` or `--theta`. A `random-state --rank` outside
 [1, --dim] is a data error, as is a state file that is not UTF-8 JSON or
 whose dim or dims is not a JSON integer or whose matrix entries are not
-JSON numbers. An allocation the host cannot satisfy is a runtime failure
-(3), reported on one stderr line. Each input file is read once: the
-digest in the report is of the bytes that were parsed. Results for a
-fixed seed are reproducible run to run; only the timing field of the
-report varies.
+JSON numbers, or that is nested too deeply to parse. An allocation the
+host cannot satisfy is a runtime failure (3), reported on one stderr
+line. Each input file is read once: the digest in the report is of the
+bytes that were parsed. Results for a fixed seed are reproducible run to
+run; only the timing field of the report varies.
+
+Schema "2": the `discord` results give `best_params` and each trace
+entry's `params` as (Re k1, Im k1, Re k2, Im k2) of the two unit-norm
+measurement kets on A, and `evaluations` counts the scan points plus the
+refinement's value-and-gradient evaluations. In schema "1" they were the
+search angles and single-value evaluations.
 """
 
 from __future__ import annotations
@@ -77,7 +83,7 @@ __all__ = [
     "main",
 ]
 
-SCHEMA_VERSION = "1"
+SCHEMA_VERSION = "2"
 
 _METHOD_NAMES = {"direct": "direct_norm", "trace": "trace_formula"}
 
@@ -116,7 +122,10 @@ def load_state(
         data = _read(path)
     # Decoded as text-mode open() did: strict UTF-8 (a BOM stays a JSON
     # error) with universal newlines, so error positions are unchanged.
-    doc = json.loads(data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n"))
+    try:
+        doc = json.loads(data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n"))
+    except RecursionError:  # a RuntimeError, which dispatch reports as exit 3
+        raise ValueError(f"{path}: JSON nested too deeply to parse") from None
     if not isinstance(doc, dict):
         raise ValueError(f"{path}: state file must be a JSON object")
     for key in ("dim", "re", "im"):

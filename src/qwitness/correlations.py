@@ -13,7 +13,7 @@ with one term.
 
 The witness value for a given element pair is computed by
 :func:`correlation_witness`; :func:`maximize_witness` searches rank-1
-projective pairs on A (coarse scan plus simplex refinement) and reports a
+projective pairs on A (coarse scan plus gradient refinement) and reports a
 verdict. Two small exactly solvable states, :func:`epr_state` and
 :func:`separable_example_state`, have closed-form witness values under the
 real projector family of :func:`projector_pair`:
@@ -67,7 +67,7 @@ __all__ = [
 
 # Conditioning on an outcome at or below this probability is undefined.
 PROB_FLOOR = 1e-12
-# Nelder-Mead stops once the simplex spans this much in parameters and value.
+# The refinement stops once no gradient component exceeds this.
 REFINE_TOL = 1e-10
 # maximize_witness reports quantum_correlated iff best_q exceeds this.
 VERDICT_THRESHOLD = 1e-8
@@ -214,10 +214,11 @@ class CqSpec:
 class OptimizerConfig:
     """Search settings for :func:`maximize_witness`, keyword-only.
 
-    ``max_evals`` budgets the refinement stage (split across starts); the
-    scan stage is governed by ``grid_points`` per parameter axis, falling
-    back to SCAN_CAP random points drawn from ``seed`` when the full grid
-    would exceed that cap. Refinement stops at REFINE_TOL, and the verdict
+    ``max_evals`` budgets the refinement stage in value-and-gradient
+    evaluations, split across starts; the scan stage is governed by
+    ``grid_points`` per parameter axis, falling back to SCAN_CAP random
+    points drawn from ``seed`` when the full grid would exceed that cap.
+    Refinement stops at the gradient tolerance REFINE_TOL, and the verdict
     threshold is the fixed VERDICT_THRESHOLD.
     """
 
@@ -235,13 +236,14 @@ class OptimizerConfig:
 class DiscordReport:
     """Outcome of a witness maximization.
 
-    best_params is the winning parameter vector of the search family;
-    best_kets are the corresponding measurement vectors on A. trace lists
-    (parameters, q) for the scan optimum and each refinement start's
-    optimum, in deterministic order. best_q never exceeds the largest
-    objective value actually evaluated. ``verdict`` is
-    ``"quantum_correlated"`` when best_q exceeds ``threshold``
-    (VERDICT_THRESHOLD), else ``"no_violation_found"``.
+    best_kets are the winning measurement vectors on A, unit-norm, and
+    best_params is (Re k1, Im k1, Re k2, Im k2) of them. trace lists
+    (params, q), in that form, for the scan optimum and each refinement
+    start's end point, in deterministic order. evaluations counts the scan
+    points and the refinement's value-and-gradient evaluations. best_q
+    never exceeds the largest objective value actually evaluated.
+    ``verdict`` is ``"quantum_correlated"`` when best_q exceeds
+    ``threshold`` (VERDICT_THRESHOLD), else ``"no_violation_found"``.
     """
 
     best_q: float
@@ -353,154 +355,123 @@ def correlation_witness(
 
 
 @dataclass(frozen=True, eq=False)
-class _SimplexResult:
-    """Outcome of :func:`minimize`: the best vertex and its value, the
-    objective calls and iterations made, and status 0 (converged) or 1
-    (evaluation budget spent)."""
+class _Refined:
+    """One refinement start's last accepted point and value, evaluations
+    made, and status 0 (converged) or 1 (evaluation budget spent)."""
 
     x: np.ndarray
     fun: float
     nfev: int
-    nit: int
     status: int
 
 
-class _BudgetSpent(Exception):
-    """A point was asked for after ``maxfev`` of them."""
+def minimize(fun, x0, *, maxfev: int, gtol: float) -> _Refined:
+    """Minimize ``fun`` from ``x0`` with :func:`_bfgs`; ``fun(x)`` returns
+    the value and the gradient at x.
 
-
-def minimize(fun, x0, *, maxfev: int, xatol: float, fatol: float) -> _SimplexResult:
-    """Nelder-Mead simplex minimization of ``fun`` from ``x0``, unbounded.
-
-    Nelder & Mead, Comput. J. 7, 308 (1965), with reflection 1, expansion
-    2, contraction 1/2 and shrink 1/2 from the initial simplex that moves
-    each coordinate of x0 by 5 % (0.00025 where it is zero). Stops once
-    ``maxfev`` calls are spent or when every vertex lies within ``xatol``
-    of the best one, coordinate-wise, and within ``fatol`` in value.
-
-    This is scipy 1.17's ``minimize(method="Nelder-Mead")`` for these
-    options, with its array operations in the same order, so the results
-    are bit-identical to it: the budget is checked before each call, the
-    objective gets a copy of the vertex, and the vertices are re-sorted
-    by the default (unstable) ``argsort``, whose order of tied values
-    steers the simplex on a flat objective.
-
-    The search itself is :func:`_simplex`, which asks for one value at a
-    time; this function answers each request with ``fun``.
     :func:`maximize_witness` answers the requests of all its starts
     together instead, one batched objective call per step.
     """
-    run = _simplex(x0, maxfev=maxfev, xatol=xatol, fatol=fatol)
-    value = None
+    run = _bfgs(x0, maxfev=maxfev, gtol=gtol)
+    x = next(run)
     while True:
         try:
-            x = run.send(value)
+            x = run.send(fun(x))
         except StopIteration as done:
             return done.value
-        value = fun(x)
 
 
-def _simplex(x0, *, maxfev: int, xatol: float, fatol: float):
-    """The search of :func:`minimize`, as a generator of the points to score.
+def _bfgs(x0, *, maxfev: int, gtol: float):
+    """Dense BFGS with Armijo backtracking, as a generator of the points to score.
 
-    Yields a copy of each point, to be sent back its value as a float;
-    returns the :class:`_SimplexResult`. The sequence of points depends
-    only on x0, the options and the values sent, so any caller that sends
-    the objective's value at each point reproduces ``minimize`` bit for
-    bit, whatever else it evaluates in between.
+    Nocedal & Wright, *Numerical Optimization*, 2nd ed. (2006): algorithm
+    6.1 with the sufficient-decrease condition (3.4), c1 = 1e-4, halving
+    the step from 1, and the first inverse Hessian scaled by (6.20). The
+    update is skipped when s.y <= 0. Yields each point, to be sent back
+    its (value, gradient); returns a :class:`_Refined`. Stops once every
+    gradient component is within ``gtol``, after ``maxfev`` evaluations,
+    or when the decrease a step predicts is below the value's rounding.
+    The points depend only on x0, the options and what is sent back.
     """
-    x0 = np.asarray(x0, dtype=np.float64).flatten()
-    n = len(x0)
-    nfev = 0
-
-    def f(x: np.ndarray):
-        nonlocal nfev
-        if nfev >= maxfev:
-            raise _BudgetSpent
-        nfev += 1
-        return float((yield x.copy()))
-
-    sim = np.empty((n + 1, n), dtype=np.float64)
-    sim[0] = x0
-    for k in range(n):
-        y = x0.copy()
-        y[k] = (1 + 0.05) * y[k] if y[k] != 0 else 0.00025
-        sim[k + 1] = y
-    fsim = np.full((n + 1,), np.inf, dtype=float)
-    try:
-        for k in range(n + 1):
-            fsim[k] = yield from f(sim[k])
-    except _BudgetSpent:
-        pass
-    # scipy sorts twice here; a second unstable sort can reorder ties.
-    for _ in range(2):
-        ind = fsim.argsort()
-        sim = sim.take(ind, 0)
-        fsim = fsim.take(ind, 0)
-
-    iterations = 1
-    while nfev < maxfev:
-        try:
-            if (np.abs(sim[1:] - sim[0]).max() <= xatol
-                    and np.abs(fsim[0] - fsim[1:]).max() <= fatol):
+    x = np.array(x0, dtype=np.float64)
+    f, g = yield x
+    nfev, h = 1, None  # h, the inverse Hessian estimate, is I until updated
+    while np.abs(g).max() > gtol:
+        p = -g if h is None else -(h @ g)
+        slope, t = float(g @ p), 1.0
+        while True:
+            if -t * slope <= 2.0**-52 * (1.0 + abs(f)):  # below f's rounding
+                return _Refined(x=x, fun=f, nfev=nfev, status=0)
+            if nfev >= maxfev:
+                return _Refined(x=x, fun=f, nfev=nfev, status=1)
+            x_new = x + t * p
+            f_new, g_new = yield x_new
+            nfev += 1
+            if f_new <= f + 1e-4 * t * slope:
                 break
-            xbar = np.add.reduce(sim[:-1], 0) / n
-            xr = 2 * xbar - sim[-1]
-            fxr = yield from f(xr)
-            if fxr < fsim[0]:
-                xe = 3 * xbar - 2 * sim[-1]
-                fxe = yield from f(xe)
-                sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
-            elif fxr < fsim[-2]:
-                sim[-1], fsim[-1] = xr, fxr
-            else:
-                if fxr < fsim[-1]:  # outside contraction
-                    xc = 1.5 * xbar - 0.5 * sim[-1]
-                    fxc = yield from f(xc)
-                    accept = fxc <= fxr
-                else:  # inside contraction
-                    xc = 0.5 * xbar + 0.5 * sim[-1]
-                    fxc = yield from f(xc)
-                    accept = fxc < fsim[-1]
-                if accept:
-                    sim[-1], fsim[-1] = xc, fxc
-                else:  # shrink toward the best vertex
-                    for j in range(1, n + 1):
-                        sim[j] = sim[0] + 0.5 * (sim[j] - sim[0])
-                        fsim[j] = yield from f(sim[j])
-            iterations += 1
-        except _BudgetSpent:
-            pass
-        ind = fsim.argsort()
-        sim = sim.take(ind, 0)
-        fsim = fsim.take(ind, 0)
-
-    return _SimplexResult(
-        x=sim[0],
-        fun=float(fsim.min()),
-        nfev=nfev,
-        nit=iterations,
-        status=1 if nfev >= maxfev else 0,
-    )
+            t *= 0.5
+        s, y = x_new - x, g_new - g
+        sy = float(s @ y)
+        if sy > 0.0:
+            if h is None:
+                h = sy / float(y @ y) * np.eye(len(x))
+            hy = h @ y
+            h += (sy + y @ hy) / sy**2 * np.outer(s, s)
+            h -= (np.outer(hy, s) + np.outer(s, hy)) / sy
+        x, f, g = x_new, f_new, g_new
+    return _Refined(x=x, fun=f, nfev=nfev, status=0)
 
 
-def _witness_kernel(rho4: np.ndarray, kets: np.ndarray):
+def _witness_kernel(rho4: np.ndarray, kets: np.ndarray, grad: bool = False):
     """Q of the B states steered by the A ket pairs kets (..., 2, dim_a).
 
-    rho4 is the state as (da, db, da, db). A point with an outcome
-    probability at or below PROB_FLOOR scores 0 and is never divided by.
-    Returns a float for one pair, else an array of shape kets.shape[:-2].
+    rho4 is the state as (da, db, da, db). Q is invariant to each ket's
+    scale. Returns an array of shape kets.shape[:-2]; with ``grad``, also
+    dQ/dk = 8 W_i k_i of shape kets.shape, so that the gradient in
+    (Re k_i, Im k_i) is (Re, Im) of it. Here C = [s1, s2] and
+    G1 = [s2, C^dag], G2 = [C^dag, s1], H_i = (G_i - Tr(G_i s_i) I) / p_i
+    and W_i[a, c] = Tr(H_i rho4[a, :, c, :]). A point with an outcome
+    probability at or below PROB_FLOOR scores 0 with gradient 0, and is
+    never divided by.
     """
     blocks = np.einsum("...a,ajck,...c->...jk", kets.conj(), rho4, kets)
     probs = blocks.trace(axis1=-2, axis2=-1).real
-    if kets.ndim == 2:
-        if probs[0] <= PROB_FLOOR or probs[1] <= PROB_FLOOR:
-            return 0.0
-        return max(float(_q_terms(blocks / probs[:, None, None])), 0.0)
     live = (probs > PROB_FLOOR).all(axis=-1)
+    p = probs[live][..., None, None]
+    s = blocks[live] / p
+    s1, s2 = s[..., 0, :, :], s[..., 1, :, :]
+    # v1 = sum |ab|^2 is Tr(a^2 b^2) for Hermitian pairs; the steered
+    # blocks are Hermitian to rounding.
+    ab = s1 @ s2
+    v1, v2 = _trace_terms(ab)
     values = np.zeros(live.shape)
-    values[live] = np.maximum(_q_terms(blocks[live] / probs[live][..., None, None]), 0.0)
-    return values
+    values[live] = np.maximum(4.0 * (v1 - v2), 0.0)
+    if not grad:
+        return values
+    c_dag = ab.conj().swapaxes(-2, -1) - ab  # [s2, s1] for Hermitian s
+    g = np.stack((s2 @ c_dag - c_dag @ s2, c_dag @ s1 - s1 @ c_dag), axis=-3)
+    tr = np.einsum("...jk,...kj->...", g, s).real[..., None, None]
+    w = np.einsum("...jk,akcj->...ac", (g - tr * np.eye(rho4.shape[1])) / p, rho4)
+    grads = np.zeros(kets.shape, dtype=np.complex128)
+    grads[live] = 8.0 * np.einsum("...ac,...c->...a", w, kets[live])
+    return values, grads
+
+
+def _ket_params(kets: np.ndarray) -> np.ndarray:
+    """Rows (Re k1, Im k1, Re k2, Im k2) of ket pairs (..., 2, dim_a)."""
+    return np.stack((kets.real, kets.imag), axis=-2).reshape(kets.shape[:-2] + (-1,))
+
+
+def _param_kets(x: np.ndarray) -> np.ndarray:
+    """Ket pairs (..., 2, dim_a) of rows (Re k1, Im k1, Re k2, Im k2)."""
+    parts = x.reshape(x.shape[:-1] + (2, 2, -1))
+    return parts[..., 0, :] + 1j * parts[..., 1, :]
+
+
+def _refine_loss(rho4: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """-Q and its gradient at the points x (n, 4 dim_a) of :func:`_ket_params`."""
+    q, dq = _witness_kernel(rho4, _param_kets(x), grad=True)
+    return -q, -_ket_params(dq)
 
 
 # Scan points per kernel call, times dim_b^2. Each (points, 2, dim_b, dim_b)
@@ -515,16 +486,6 @@ def _scan_values(rho4: np.ndarray, kets_of, points: np.ndarray) -> np.ndarray:
         _witness_kernel(rho4, kets_of(points[i : i + step]))
         for i in range(0, len(points), step)
     ])
-
-
-def _q_terms(states: np.ndarray) -> np.ndarray:
-    """4 (v1 - v2) of state pairs (..., 2, d, d), from the products ab alone.
-
-    v1 = sum |ab|^2 is Tr(a^2 b^2) for Hermitian pairs; the steered blocks
-    are Hermitian to rounding, and this value only ranks scan points.
-    """
-    v1, v2 = _trace_terms(states[..., 0, :, :] @ states[..., 1, :, :])
-    return 4.0 * (v1 - v2)
 
 
 def _qubit_kets(x: np.ndarray) -> np.ndarray:
@@ -590,22 +551,21 @@ def maximize_witness(
 ) -> DiscordReport:
     """Maximize the conditional-state witness over rank-1 projectors on A.
 
-    Qubit A searches (theta, beta1, phi, beta2), the real projector family
-    with an azimuthal phase per vector; larger A parametrizes each
-    measurement ket by polar and phase angles (2 dim_a - 2 parameters per
-    ket). The coarse scan scores its points in batched kernel calls on
-    blocks of at most 2^16 / dim_b^2 points, so its temporaries do not
-    grow with the scan size. Nelder-Mead (:func:`minimize`) then refines
-    from the best distinct scan points, all starts in lockstep: each step
-    scores the next point of every start still running in one kernel
-    call (the one-point branch when a single start is left), and a start
-    drops out when its search ends. The batched kernel gives every point
-    the bits the one-point objective gives it, so each start's path is
-    that of ``minimize`` on ``-_witness_kernel(rho4, kets_of(x))``, and
-    the result is that of running the starts one after another: best_q
-    is the first maximum in the order scan, then each start's points.
-    Deterministic for a given config. Zero-probability parameter points
-    score 0 instead of raising.
+    The coarse scan covers qubit A by (theta, beta1, phi, beta2), the real
+    projector family with an azimuthal phase per vector, and larger A by
+    polar and phase angles (2 dim_a - 2 per ket). It scores its points in
+    batched kernel calls on blocks of at most 2^16 / dim_b^2 points, so
+    its temporaries do not grow with the scan size. BFGS (:func:`_bfgs`)
+    then refines from the best distinct scan points, on the unconstrained
+    kets (Re k1, Im k1, Re k2, Im k2) with the analytic gradient; the
+    report scales each ket to unit norm. All starts run in lockstep: each
+    step scores the next point of every start still running in one kernel
+    call, and a start drops out when its search ends. The batched kernel
+    gives every point the bits it gets alone, so each start's path is that
+    of ``minimize`` on :func:`_refine_loss` of that point, and the result
+    is that of running the starts one after another: best_q is the first
+    maximum in the order scan, then each start's points. Deterministic for
+    a given config. Zero-probability points score 0 instead of raising.
     """
     if config is None:
         config = OptimizerConfig()
@@ -628,9 +588,9 @@ def maximize_witness(
     values = _scan_values(rho4, kets_of, points)
     scan_best = int(np.argmax(values))
     best_q = float(values[scan_best])
-    best_x = points[scan_best]
+    best_x = _ket_params(kets_of(points[scan_best]))
     evaluations = len(points)
-    trace: list[tuple[tuple[float, ...], float]] = [(tuple(best_x), best_q)]
+    trace = [(best_x, best_q)]
 
     starts: dict[tuple[float, ...], np.ndarray] = {}  # distinct points, best first
     for idx in np.argsort(values)[::-1]:
@@ -640,23 +600,19 @@ def maximize_witness(
 
     maxfev = max(config.max_evals // len(starts), 8)
     runs = [
-        _simplex(x0, maxfev=maxfev, xatol=REFINE_TOL, fatol=REFINE_TOL)
-        for x0 in starts.values()
+        _bfgs(x0, maxfev=maxfev, gtol=REFINE_TOL)
+        for x0 in _ket_params(kets_of(np.stack(list(starts.values()))))
     ]
     pending = {i: next(run) for i, run in enumerate(runs)}  # start -> its next point
     peaks = [(-math.inf, None)] * len(runs)  # each start's first maximum
     results = [None] * len(runs)
     while pending:
-        xs = list(pending.values())
-        if len(xs) == 1:
-            qs = [_witness_kernel(rho4, kets_of(xs[0]))]
-        else:
-            qs = _witness_kernel(rho4, kets_of(np.stack(xs))).tolist()
-        for (i, x), q in zip(list(pending.items()), qs):
-            if q > peaks[i][0]:
-                peaks[i] = (q, x)
+        losses, grads = _refine_loss(rho4, np.stack(list(pending.values())))
+        for (i, x), f, g in zip(list(pending.items()), losses.tolist(), grads):
+            if -f > peaks[i][0]:
+                peaks[i] = (-f, x)
             try:
-                pending[i] = runs[i].send(-q)
+                pending[i] = runs[i].send((f, g))
             except StopIteration as done:
                 del pending[i]
                 results[i] = done.value
@@ -665,12 +621,15 @@ def maximize_witness(
         if q > best_q:
             best_q, best_x = q, x
         evaluations += res.nfev
-        trace.append((tuple(res.x), -res.fun))
+        trace.append((res.x, -res.fun))
 
+    kets = _param_kets(np.stack([best_x] + [x for x, _ in trace]))
+    kets /= np.linalg.norm(kets, axis=-1, keepdims=True)
+    params = _ket_params(kets).tolist()
     return DiscordReport(
         best_q=best_q,
-        best_params=tuple(float(t) for t in best_x),
-        best_kets=tuple(kets_of(best_x)),
+        best_params=tuple(params[0]),
+        best_kets=tuple(kets[0]),
         evaluations=evaluations,
-        trace=tuple(trace),
+        trace=tuple((tuple(x), q) for x, (_, q) in zip(params[1:], trace)),
     )

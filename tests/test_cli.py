@@ -40,7 +40,7 @@ def run(capsys, argv):
 
 def report_of(out):
     doc = json.loads(out)
-    assert doc["schema_version"] == "1"
+    assert doc["schema_version"] == "2"
     return doc
 
 
@@ -154,6 +154,20 @@ class TestStateIO:
         assert str(info.value) == message
         code, _, err = run(capsys, ["witness", "--state-a", str(path), "--state-b", str(path)])
         assert (code, err) == (2, f"qwitness witness: invalid input: {message}\n")
+
+    @pytest.mark.parametrize("command", ["witness", "discord"])
+    def test_deeply_nested_file_is_data_error(self, tmp_path, capsys, command):
+        """json.loads gives up on deep nesting with a RecursionError, which
+        is the input's fault: exit 2, naming the file."""
+        path = tmp_path / "deep.json"
+        path.write_text('{"dim": 1, "re": ' + "[" * 100_000 + ', "im": [[0]]}')
+        argv = {
+            "witness": ["witness", "--state-a", str(path), "--state-b", str(path)],
+            "discord": ["discord", "--state", str(path), "--dims", "2", "2"],
+        }[command]
+        code, out, err = run(capsys, argv)
+        message = f"{path}: JSON nested too deeply to parse"
+        assert (code, out, err) == (2, "", f"qwitness {command}: invalid input: {message}\n")
 
 
 class TestInputReads:
@@ -396,7 +410,7 @@ class TestDiscordCommand:
         doc = report_of(out)
         assert doc["results"]["best_q"] > 0.9
         assert doc["results"]["verdict"] == "quantum_correlated"
-        assert len(doc["results"]["best_params"]) == 4
+        assert len(doc["results"]["best_params"]) == 8  # Re, Im of two kets in C^2
         assert len(doc["results"]["trace"]) == 1 + 2
 
     def test_dims_flag_may_supply_missing_split(self, tmp_path, capsys):
@@ -809,7 +823,7 @@ class TestStartup:
         assert run_fresh(code) == "False"
 
     def test_discord_search_does_not_load_scipy(self, tmp_path):
-        """The refinement stage is the package's own Nelder-Mead."""
+        """The refinement stage is the package's own BFGS."""
         path = state_path(tmp_path, "ab.json", epr_state().state, dims=(2, 2))
         argv = ["discord", "--state", path, "--dims", "2", "2", "--grid", "4",
                 "--starts", "2", "--max-evals", "200", "--out", str(tmp_path / "r.json")]

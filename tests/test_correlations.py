@@ -29,7 +29,10 @@ from qwitness.correlations import (
 )
 from qwitness.correlations import (
     _hyperspherical_ket,
+    _ket_params,
+    _param_kets,
     _qubit_kets,
+    _refine_loss,
     _scan_points,
     _scan_values,
     _witness_kernel,
@@ -354,10 +357,13 @@ class TestMaximizeWitness:
             rho, OptimizerConfig(grid_points=6, starts=2, max_evals=400)
         )
         k1, k2 = report.best_kets
+        assert np.linalg.norm(k1) == pytest.approx(1.0, abs=1e-15)
+        assert np.linalg.norm(k2) == pytest.approx(1.0, abs=1e-15)
+        assert report.best_params == tuple(_ket_params(np.array([k1, k2])).tolist())
         e1 = PovmElement(np.outer(k1, k1.conj()))
         e2 = PovmElement(np.outer(k2, k2.conj()))
         assert correlation_witness(rho, e1, e2) == pytest.approx(
-            report.best_q, abs=1e-9
+            report.best_q, abs=1e-10
         )
 
     def test_trace_values_never_exceed_best(self):
@@ -423,43 +429,51 @@ def report_fields(report):
     return out
 
 
-def record_starts(monkeypatch):
-    """Wrap correlations._simplex, the search of each refinement start, and
-    return the list it fills: per start, x0, options, the points asked for
-    (as bytes), the values sent back and the final result."""
-    starts = []
-    real_simplex = correlations._simplex
+def unit_params(x):
+    """(Re k1, Im k1, Re k2, Im k2) of x with each ket scaled to unit norm,
+    as maximize_witness reports its points."""
+    kets = _param_kets(np.asarray(x))
+    return tuple(_ket_params(kets / np.linalg.norm(kets, axis=-1, keepdims=True)).tolist())
 
-    def simplex(x0, **options):
+
+def record_starts(monkeypatch):
+    """Wrap correlations._bfgs, the search of each refinement start, and
+    return the list it fills: per start, x0, options, the points asked for
+    (as bytes), the (value, gradient) pairs sent back and the result."""
+    starts = []
+    real_bfgs = correlations._bfgs
+
+    def bfgs(x0, **options):
         start = types.SimpleNamespace(
             x0=np.array(x0), options=options, points=[], values=[], result=None
         )
         starts.append(start)
-        run, value = real_simplex(x0, **options), None
+        run = real_bfgs(x0, **options)
+        x = next(run)
         while True:
+            start.points.append(x.tobytes())
+            sent = yield x
+            start.values.append(sent)
             try:
-                x = run.send(value)
+                x = run.send(sent)
             except StopIteration as done:
                 start.result = done.value
                 return done.value
-            start.points.append(x.tobytes())
-            value = yield x
-            start.values.append(value)
 
-    monkeypatch.setattr(correlations, "_simplex", simplex)
+    monkeypatch.setattr(correlations, "_bfgs", bfgs)
     return starts
 
 
 class TestWitnessKernel:
     def test_batched_scan_is_bitwise_the_single_point_objective(self, monkeypatch):
-        """The scan's one stacked evaluation and the refinement's one-point
-        calls share arithmetic, so every scan value matches bit for bit."""
+        """A point scores the same bits in a stacked kernel call as in a
+        call on that point alone."""
         rng = np.random.default_rng(33)
         rho = BipartiteState(ginibre_state(6, 3, rng), 2, 3)
         points = _scan_points(QUBIT_AXES, OptimizerConfig())
         assert points.shape == (12**4, 4)
         batched = _witness_kernel(rho4_of(rho), _qubit_kets(points))
-        single = [_witness_kernel(rho4_of(rho), _qubit_kets(p)) for p in points]
+        single = [_witness_kernel(rho4_of(rho), _qubit_kets(p[None]))[0] for p in points]
         assert batched.tobytes() == np.array(single).tobytes()
 
         rho = BipartiteState(ginibre_state(6, 4, rng), 3, 2)
@@ -467,8 +481,36 @@ class TestWitnessKernel:
         points = _scan_points(QUTRIT_AXES, OptimizerConfig(seed=9))
         assert points.shape == (3000, 8)
         batched = _witness_kernel(rho4_of(rho), qutrit_kets(points))
-        single = [_witness_kernel(rho4_of(rho), qutrit_kets(p)) for p in points]
+        single = [_witness_kernel(rho4_of(rho), qutrit_kets(p[None]))[0] for p in points]
         assert batched.tobytes() == np.array(single).tobytes()
+
+    @pytest.mark.parametrize("dims", [(2, 2), (3, 2), (2, 3), (4, 3)], ids=str)
+    def test_batched_refine_loss_is_bitwise_one_point(self, dims):
+        """The lockstep refinement scores its starts together: each value
+        and gradient has the bits of a call on that point alone."""
+        da, db = dims
+        rng = np.random.default_rng(38)
+        rho4 = rho4_of(BipartiteState(ginibre_state(da * db, da * db, rng), da, db))
+        xs = rng.normal(size=(7, 4 * da))
+        losses, grads = _refine_loss(rho4, xs)
+        for x, f, g in zip(xs, losses, grads):
+            f1, g1 = _refine_loss(rho4, x[None])
+            assert f1[0].tobytes() == f.tobytes()
+            assert g1[0].tobytes() == g.tobytes()
+
+    @pytest.mark.parametrize("dims", [(2, 2), (3, 2), (2, 3), (4, 3)], ids=str)
+    def test_gradient_matches_central_differences(self, dims):
+        da, db = dims
+        rng = np.random.default_rng(39)
+        rho4 = rho4_of(BipartiteState(ginibre_state(da * db, da * db, rng), da, db))
+        h = 1e-6
+        for x in rng.normal(size=(3, 4 * da)):
+            _, grad = _refine_loss(rho4, x[None])
+            steps = h * np.eye(len(x))
+            ahead, _ = _refine_loss(rho4, x + steps)
+            behind, _ = _refine_loss(rho4, x - steps)
+            central = (ahead - behind) / (2.0 * h)
+            assert np.linalg.norm(central - grad[0]) <= 1e-6 * np.linalg.norm(grad[0])
 
     def test_blocked_scan_is_bitwise_one_kernel_call(self, monkeypatch):
         """A 2x8 default-config scan runs in many blocks; its values and its
@@ -493,17 +535,17 @@ class TestWitnessKernel:
             (BipartiteState(ginibre_state(6, 3, rng), 3, 2), qutrit_kets, 8),
         )
         for rho, kets_of, n_params in cases:
-            for x in rng.uniform(-math.pi, math.pi, size=(20, n_params)):
-                k1, k2 = kets_of(x)
+            kets = kets_of(rng.uniform(-math.pi, math.pi, size=(20, n_params)))
+            values = _witness_kernel(rho4_of(rho), kets)
+            for (k1, k2), q in zip(kets, values):
                 e1 = PovmElement(np.outer(k1, k1.conj()))
                 e2 = PovmElement(np.outer(k2, k2.conj()))
-                q = _witness_kernel(rho4_of(rho), kets_of(x))
                 assert q == pytest.approx(correlation_witness(rho, e1, e2), abs=1e-12)
 
     def test_zero_weight_outcomes_score_zero_without_warnings(self):
         """On |0><0| (x) rho_B, grid kets near |1> give outcome weight ~1e-33
-        and the pairs below weight exactly 0; all score 0 and are never
-        divided by."""
+        and the pairs below weight exactly 0; all score 0 with gradient 0
+        and are never divided by."""
         rng = np.random.default_rng(35)
         rho = product_state(pure_state(np.array([1.0, 0.0])), ginibre_state(2, 2, rng))
         points = _scan_points(QUBIT_AXES, SMALL)
@@ -513,11 +555,12 @@ class TestWitnessKernel:
         assert dead.any() and not dead.all()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            values = _witness_kernel(rho4_of(rho), kets)
-            single = [_witness_kernel(rho4_of(rho), k) for k in kets[dead]]
+            values, grads = _witness_kernel(rho4_of(rho), kets, grad=True)
+            losses, loss_grads = _refine_loss(rho4_of(rho), _ket_params(kets[dead]))
             report = maximize_witness(rho, SMALL)
-        assert np.all(np.isfinite(values))
-        assert np.all(values[dead] == 0.0) and single == [0.0] * int(dead.sum())
+        assert np.all(np.isfinite(values)) and np.all(np.isfinite(grads))
+        assert np.all(values[dead] == 0.0) and np.all(grads[dead] == 0.0)
+        assert np.all(losses == 0.0) and np.all(loss_grads == 0.0)
         assert values.max() <= 1e-12
         assert report.verdict == "no_violation_found"
 
@@ -549,144 +592,115 @@ class TestWitnessKernel:
             assert report.evaluations == scanned[0] + sum(nfev)
 
     @pytest.mark.parametrize(
-        "make, best_q",
-        [(epr_state, 0.9999999993926598), (separable_example_state, 0.06249999185038768)],
+        "make, best_q", [(epr_state, 1.0), (separable_example_state, 1.0 / 16.0)]
     )
-    def test_small_search_results_are_pinned(self, make, best_q):
+    def test_small_search_reaches_the_closed_form(self, monkeypatch, make, best_q):
+        starts = record_starts(monkeypatch)
         report = maximize_witness(make(), SMALL)
         assert report.best_q == pytest.approx(best_q, abs=1e-12)
-        assert report.evaluations == 4**4 + 200
+        assert report.evaluations == 4**4 + sum(start.result.nfev for start in starts)
         assert report.verdict == "quantum_correlated"
 
 
-def assert_matches_scipy(fun, x0, **options):
-    """correlations.minimize and scipy's Nelder-Mead under the same options
-    call ``fun`` at the same points and return bitwise-equal results."""
-    scipy_optimize = pytest.importorskip("scipy.optimize")
-    ours_calls, ref_calls = [], []
-
-    def recording(calls):
-        def wrapped(x):
-            calls.append(x.tobytes())
-            return fun(x)
-        return wrapped
-
-    ours = correlations.minimize(recording(ours_calls), x0, **options)
-    ref = scipy_optimize.minimize(
-        recording(ref_calls), x0, method="Nelder-Mead", options=options
+def bell_diagonal_state(c):
+    """(I + sum_i c_i sigma_i (x) sigma_i) / 4, for c in the tetrahedron
+    where all four Bell weights are nonnegative."""
+    paulis = (
+        np.array([[0, 1], [1, 0]], dtype=np.complex128),
+        np.array([[0, -1j], [1j, 0]]),
+        np.array([[1, 0], [0, -1]], dtype=np.complex128),
     )
-    assert ours_calls == ref_calls
-    assert ours.x.tobytes() == ref.x.tobytes()
-    assert np.float64(ours.fun).tobytes() == np.float64(ref.fun).tobytes()
-    assert (ours.nfev, ours.nit, ours.status) == (ref.nfev, ref.nit, ref.status)
-    return ours
+    m = np.eye(4, dtype=np.complex128)
+    for c_i, sigma in zip(c, paulis):
+        m += c_i * np.kron(sigma, sigma)
+    return BipartiteState(DensityMatrix(m / 4.0), 2, 2)
 
 
-class TestNelderMead:
-    """The in-package simplex search is scipy's Nelder-Mead, bit for bit."""
+# The tetrahedron's vertices are the four Bell states; EPR is (1, -1, 1).
+TETRAHEDRON = np.array([[-1, -1, -1], [-1, 1, 1], [1, -1, 1], [1, 1, -1]], dtype=float)
+BELL_DIAGONAL = [
+    *(tuple(w @ TETRAHEDRON) for w in np.random.default_rng(8).dirichlet(np.ones(4), 10)),
+    (0.3, 0.0, 0.0), (0.0, -0.7, 0.0), (0.0, 0.0, 1.0),  # classical on B
+    (0.5, -0.5, 0.2), (0.4, 0.1, 0.4), (1.0, -1.0, 1.0),  # two largest |c_i| tie
+]
 
+
+class TestBellDiagonalFamily:
+    """The steered B states fill the ellipsoid with semi-axes |c_i|, so the
+    witness maximum is the squared product of the two largest |c_i| (0
+    when at most one c_i is nonzero)."""
+
+    @pytest.mark.parametrize("config", [OptimizerConfig(), SMALL], ids=["default", "small"])
     @pytest.mark.parametrize(
-        "make, config, scan_cap",
-        [
-            (epr_state, SMALL, correlations.SCAN_CAP),
-            (separable_example_state, OptimizerConfig(grid_points=6, starts=3),
-             correlations.SCAN_CAP),
-            (lambda: BipartiteState(ginibre_state(4, 3, np.random.default_rng(40)), 2, 2),
-             OptimizerConfig(grid_points=6, starts=4, max_evals=400), correlations.SCAN_CAP),
-            # Eight calls per start: the 9-vertex initial simplex runs out.
-            (lambda: BipartiteState(ginibre_state(6, 2, np.random.default_rng(41)), 3, 2),
-             OptimizerConfig(starts=5, max_evals=40), 500),
-        ],
-        ids=["epr", "separable", "ginibre-2x2", "ginibre-3x2-short-budget"],
+        "c", BELL_DIAGONAL, ids=lambda c: "c=" + ",".join(f"{x:.3f}" for x in c)
     )
-    def test_witness_loss_from_every_start(self, monkeypatch, make, config, scan_cap):
-        """Each start of the lockstep refinement asks for the points, and
-        returns the result, of scipy's run on the one-point loss."""
-        scipy_optimize = pytest.importorskip("scipy.optimize")
-        rho = make()
-        kets_of, _ = search_family(rho)
-        monkeypatch.setattr(correlations, "SCAN_CAP", scan_cap)
-        starts = record_starts(monkeypatch)
-        maximize_witness(rho, config)
-        assert len(starts) == config.starts
-        for start in starts:
-            ref_calls, ref_values = [], []
+    def test_search_reaches_the_closed_form(self, c, config):
+        largest = sorted(np.abs(c))[::-1]
+        q_max = (largest[0] * largest[1]) ** 2
+        report = maximize_witness(bell_diagonal_state(c), config)
+        assert report.best_q == pytest.approx(q_max, abs=1e-12)
+        expected = "quantum_correlated" if q_max > 0 else "no_violation_found"
+        assert report.verdict == expected
 
-            def loss(x):
-                ref_calls.append(x.tobytes())
-                ref_values.append(-_witness_kernel(rho4_of(rho), kets_of(x)))
-                return ref_values[-1]
 
-            ref = scipy_optimize.minimize(
-                loss, start.x0, method="Nelder-Mead", options=start.options
-            )
-            res = start.result
-            assert start.points == ref_calls
-            assert np.array(start.values).tobytes() == np.array(ref_values).tobytes()
-            assert res.x.tobytes() == ref.x.tobytes()
-            assert np.float64(res.fun).tobytes() == np.float64(ref.fun).tobytes()
-            assert (res.nfev, res.nit, res.status) == (ref.nfev, ref.nit, ref.status)
+class TestMinimize:
+    """The one-start driver of the BFGS refinement."""
 
-    @pytest.mark.parametrize("maxfev", range(5, 41))
-    def test_flat_witness_loss_of_a_product_state(self, maxfev):
-        """Most points score exactly 0 here, so the vertex order after each
-        sort hangs on argsort's order of ties."""
-        rng = np.random.default_rng(28)
-        rho = product_state(ginibre_state(2, 2, rng), ginibre_state(2, 2, rng))
+    @staticmethod
+    def rosenbrock(x):
+        value = (1.0 - x[0]) ** 2 + 100.0 * (x[1] - x[0] ** 2) ** 2
+        grad = np.array([
+            -2.0 * (1.0 - x[0]) - 400.0 * x[0] * (x[1] - x[0] ** 2),
+            200.0 * (x[1] - x[0] ** 2),
+        ])
+        return value, grad
 
-        def loss(x):
-            return -_witness_kernel(rho4_of(rho), _qubit_kets(x))
+    @pytest.mark.parametrize("maxfev", [1, 2, 3, 5, 8, 13, 21])
+    def test_spends_exactly_the_budget(self, maxfev):
+        calls = []
 
-        x0 = np.array([0.0, math.pi / 2.0, math.pi / 4.0, 0.0])
-        assert_matches_scipy(loss, x0, maxfev=maxfev, xatol=1e-10, fatol=1e-10)
+        def fun(x):
+            calls.append(x.copy())
+            return self.rosenbrock(x)
 
-    def test_budget_spent_inside_a_shrink_step(self):
-        """On a constant objective every iteration reflects, contracts
-        inside and shrinks: 1 + 1 + 4 calls after the 5 initial ones. A
-        budget of 9 stops at the second shrink call, in the first iteration."""
-        res = assert_matches_scipy(
-            lambda x: 0.0, np.array([0.3, 0.0, 1.0, 2.0]),
-            maxfev=9, xatol=1e-10, fatol=1e-10,
-        )
-        assert (res.nfev, res.nit, res.status) == (9, 1, 1)
+        res = correlations.minimize(fun, np.array([-1.2, 1.0]), maxfev=maxfev, gtol=1e-10)
+        assert (res.nfev, res.status, len(calls)) == (maxfev, 1, maxfev)
+        assert res.fun == min(self.rosenbrock(x)[0] for x in calls)
 
-    def test_converges_on_a_quadratic_that_overwrites_its_argument(self):
-        """The objective gets a copy: writing into it leaves the simplex alone."""
+    def test_converges_on_a_quadratic(self):
+        a = np.array([[3.0, 1.0, 0.0], [1.0, 2.0, 0.5], [0.0, 0.5, 1.0]])
+        center = np.array([1.0, -2.0, 0.5])
+
         def quadratic(x):
-            value = float(np.sum((x - np.array([1.0, -2.0])) ** 2))
-            x[:] = np.nan
-            return value
+            d = x - center
+            return float(d @ a @ d), 2.0 * a @ d
 
-        res = assert_matches_scipy(
-            quadratic, np.array([0.0, 0.0]), maxfev=2000, xatol=1e-10, fatol=1e-10
-        )
-        assert res.status == 0
-        assert res.x == pytest.approx([1.0, -2.0], abs=1e-9)
+        res = correlations.minimize(quadratic, np.zeros(3), maxfev=200, gtol=1e-10)
+        assert res.status == 0 and res.nfev < 50
+        assert res.x == pytest.approx(center, abs=1e-8)
 
 
 def sequential_search(rho, config):
     """maximize_witness as it reads with its starts refined one after
     another: ``minimize`` on the one-point loss from each start in order,
-    best_q raised only by a strictly larger value. Returns the report,
-    each start's result and every refinement value."""
+    best_q raised only by a strictly larger value. Returns the report and
+    each start's result."""
     rho4 = rho4_of(rho)
     kets_of, axes_span = search_family(rho)
     points = _scan_points(axes_span, config)
     values = _scan_values(rho4, kets_of, points)
     scan_best = int(np.argmax(values))
-    best_q, best_x = float(values[scan_best]), points[scan_best]
+    best_q, best_x = float(values[scan_best]), _ket_params(kets_of(points[scan_best]))
     evaluations = len(points)
-    trace = [(tuple(best_x), best_q)]
-    refined = []
+    trace = [(best_x, best_q)]
 
     def loss(x):
         nonlocal evaluations, best_q, best_x
         evaluations += 1
-        q = _witness_kernel(rho4, kets_of(x))
-        refined.append(q)
-        if q > best_q:
-            best_q, best_x = q, np.array(x)
-        return -q
+        f, g = _refine_loss(rho4, x[None])
+        if -f[0] > best_q:
+            best_q, best_x = float(-f[0]), np.array(x)
+        return float(f[0]), g[0]
 
     starts = {}
     for idx in np.argsort(values)[::-1]:
@@ -697,19 +711,19 @@ def sequential_search(rho, config):
     results = []
     for x0 in starts.values():
         res = correlations.minimize(
-            loss, x0, maxfev=maxfev, xatol=correlations.REFINE_TOL,
-            fatol=correlations.REFINE_TOL,
+            loss, _ket_params(kets_of(x0)), maxfev=maxfev, gtol=correlations.REFINE_TOL
         )
         results.append(res)
-        trace.append((tuple(res.x), -res.fun))
+        trace.append((res.x, -res.fun))
+    best_params = unit_params(best_x)
     report = DiscordReport(
         best_q=best_q,
-        best_params=tuple(float(t) for t in best_x),
-        best_kets=tuple(kets_of(best_x)),
+        best_params=best_params,
+        best_kets=tuple(_param_kets(np.array(best_params))),
         evaluations=evaluations,
-        trace=tuple(trace),
+        trace=tuple((unit_params(x), q) for x, q in trace),
     )
-    return report, results, refined
+    return report, results
 
 
 class TestLockstepRefinement:
@@ -733,33 +747,45 @@ class TestLockstepRefinement:
     )
     def test_matches_the_sequential_search(self, make, config):
         rho = make()
-        report, results, _ = sequential_search(rho, config)
+        report, results = sequential_search(rho, config)
         assert len(results) == config.starts
         assert report_fields(maximize_witness(rho, config)) == report_fields(report)
 
-    def test_ties_on_a_flat_objective_go_to_the_first_start(self):
-        """On this product state the largest refinement value, above the
-        scan's, is reached from several starts, and a later start reaches
-        it in fewer steps: best_x is still the first start's first point
-        at it, not the first one the lockstep meets."""
-        rng = np.random.default_rng(31)
-        rho = product_state(pure_state(np.array([1.0, 0.0])), ginibre_state(2, 2, rng))
-        config = OptimizerConfig(grid_points=5, starts=4, max_evals=400)
-        report, results, refined = sequential_search(rho, config)
-        assert report.best_q > report.trace[0][1]
-        steps_to_best = []
-        for res in results:
-            values, refined = refined[: res.nfev], refined[res.nfev :]
-            if report.best_q in values:
-                steps_to_best.append(values.index(report.best_q))
-        assert len(steps_to_best) > 1 and min(steps_to_best[1:]) < steps_to_best[0]
-        assert report_fields(maximize_witness(rho, config)) == report_fields(report)
+    def test_ties_go_to_the_first_start(self, monkeypatch):
+        """Stub refinements yield preset points with preset values. The
+        maximum, 5, is reached by every start, and by the later ones in
+        fewer steps: best_params is still the first start's first point at
+        it. Each step scores every start still running in one call."""
+        rng = np.random.default_rng(53)
+        a, b, c, top0, top1, top2 = (unit_params(x) for x in rng.normal(size=(6, 8)))
+        paths = iter([[a, b, top0, top1], [top1], [c, top2]])
+        scores = {a: 0.5, b: 0.75, c: 0.25, top0: 5.0, top1: 5.0, top2: 5.0}
+        batches = []
+
+        def loss(rho4, xs):
+            batches.append(len(xs))
+            return -np.array([scores[tuple(x.tolist())] for x in xs]), np.zeros_like(xs)
+
+        def refine(x0, *, maxfev, gtol):
+            path = next(paths)
+            for x in path:
+                f, _ = yield np.array(x)
+            return correlations._Refined(x=np.array(path[-1]), fun=f, nfev=len(path), status=0)
+
+        monkeypatch.setattr(correlations, "_refine_loss", loss)
+        monkeypatch.setattr(correlations, "_bfgs", refine)
+        report = maximize_witness(epr_state(), OptimizerConfig(grid_points=4, starts=3))
+        assert report.best_q == 5.0 and report.best_params == unit_params(top0)
+        assert batches == [3, 2, 1, 1]
+        assert report.evaluations == 4**4 + 4 + 1 + 2
+        assert [q for _, q in report.trace[1:]] == [5.0, 5.0, 5.0]
 
     def test_starts_leave_the_lockstep_at_different_steps(self):
         """Some starts converge while others spend their budget, so the
-        batch shrinks step by step down to the one-point branch."""
-        config = OptimizerConfig(grid_points=6, starts=7, max_evals=2100)
-        report, results, _ = sequential_search(epr_state(), config)
+        batch shrinks step by step."""
+        rho = BipartiteState(ginibre_state(4, 4, np.random.default_rng(50)), 2, 2)
+        config = OptimizerConfig(grid_points=6, starts=7, max_evals=105)
+        report, results = sequential_search(rho, config)
         assert {res.status for res in results} == {0, 1}
         assert len({res.nfev for res in results}) > 2
-        assert report_fields(maximize_witness(epr_state(), config)) == report_fields(report)
+        assert report_fields(maximize_witness(rho, config)) == report_fields(report)

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from qwitness.correlations import _q_terms
 from qwitness.qcore import (
     DensityMatrix,
     LayoutError,
@@ -15,6 +14,7 @@ from qwitness.qcore import (
 from qwitness.witness import (
     ProbePair,
     WitnessResult,
+    _trace_terms,
     classicality_probe,
     default_probe_pairs,
     gell_mann_basis,
@@ -172,10 +172,10 @@ class TestTraceTermKernel:
                  for _ in range(2)]
                 for _ in range(40)
             ])
-            batched = _q_terms(stack)
-            assert batched.shape == (40,)
+            v1, v2 = _trace_terms(stack[:, 0] @ stack[:, 1])
+            assert v1.shape == v2.shape == (40,)
             for k, pair in enumerate(stack):
-                assert batched[k] == _q_terms(pair)
+                assert (v1[k], v2[k]) == _trace_terms(pair[0] @ pair[1])
 
 
 class TestWitnessResult:
