@@ -34,9 +34,8 @@ run; only the timing field of the report varies.
 
 Schema "2": the `discord` results give `best_params` and each trace
 entry's `params` as (Re k1, Im k1, Re k2, Im k2) of the two unit-norm
-measurement kets on A, and `evaluations` counts the scan points plus the
-refinement's value-and-gradient evaluations. In schema "1" they were the
-search angles and single-value evaluations.
+measurement kets on A; `evaluations` counts scored ket pairs plus
+value-and-gradient evaluations (schema "1": angles, single values).
 """
 
 from __future__ import annotations
@@ -256,9 +255,11 @@ def _add_discord_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--state", required=True, metavar="F")
     p.add_argument("--dims", type=int, nargs=2, required=True, metavar=("DA", "DB"))
     defaults = OptimizerConfig()
-    p.add_argument("--grid", type=int, default=defaults.grid_points, metavar="G")
+    p.add_argument("--grid", type=int, default=defaults.grid_points, metavar="G",
+                   help="scan points per ket axis; every pair of scan kets is scored")
     p.add_argument("--starts", type=int, default=defaults.starts, metavar="R")
-    p.add_argument("--max-evals", type=int, default=defaults.max_evals, metavar="N")
+    p.add_argument("--max-evals", type=int, default=defaults.max_evals, metavar="N",
+                   help="total refinement evaluations, split across the starts")
     p.add_argument("--seed", type=int, default=0, metavar="S")
     p.add_argument("--out", default=None, metavar="F")
 

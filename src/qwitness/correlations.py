@@ -71,7 +71,7 @@ PROB_FLOOR = 1e-12
 REFINE_TOL = 1e-10
 # maximize_witness reports quantum_correlated iff best_q exceeds this.
 VERDICT_THRESHOLD = 1e-8
-# Largest full scan grid; a bigger one is replaced by this many random points.
+# Most ket pairs the scan scores; see _scan_points.
 SCAN_CAP = 50000
 
 
@@ -214,16 +214,16 @@ class CqSpec:
 class OptimizerConfig:
     """Search settings for :func:`maximize_witness`, keyword-only.
 
-    ``max_evals`` budgets the refinement stage in value-and-gradient
-    evaluations, split across starts; the scan stage is governed by
-    ``grid_points`` per parameter axis, falling back to SCAN_CAP random
-    points drawn from ``seed`` when the full grid would exceed that cap.
-    Refinement stops at the gradient tolerance REFINE_TOL, and the verdict
-    threshold is the fixed VERDICT_THRESHOLD.
+    The scan scores every pair of a grid of kets on A with ``grid_points``
+    values per ket axis, or of random kets drawn from ``seed`` past
+    SCAN_CAP pairs. ``max_evals`` is the total budget of the refinement's
+    value-and-gradient evaluations, split across the ``starts``; it stops
+    at the gradient tolerance REFINE_TOL. The verdict threshold is the
+    fixed VERDICT_THRESHOLD.
     """
 
     grid_points: int = 12
-    starts: int = 5
+    starts: int = 10
     max_evals: int = 2000
     seed: int = 0
 
@@ -239,9 +239,9 @@ class DiscordReport:
     best_kets are the winning measurement vectors on A, unit-norm, and
     best_params is (Re k1, Im k1, Re k2, Im k2) of them. trace lists
     (params, q), in that form, for the scan optimum and each refinement
-    start's end point, in deterministic order. evaluations counts the scan
-    points and the refinement's value-and-gradient evaluations. best_q
-    never exceeds the largest objective value actually evaluated.
+    start's end point, in deterministic order. evaluations counts the ket
+    pairs the scan scored and the refinement's value-and-gradient
+    evaluations. best_q never exceeds the largest value evaluated.
     ``verdict`` is ``"quantum_correlated"`` when best_q exceeds
     ``threshold`` (VERDICT_THRESHOLD), else ``"no_violation_found"``.
     """
@@ -289,13 +289,12 @@ def projector_pair(angles: MeasurementAngles) -> tuple[PovmElement, PovmElement]
 
     psi1 = cos(theta)|0> + sin(theta)|1>,
     psi1_perp = sin(theta)|0> - cos(theta)|1>,
-    psi2 = cos(phi) psi1 + sin(phi) psi1_perp:
-
-    the kets of :func:`_qubit_kets` at beta1 = beta2 = 0. phi = 0 collapses
-    the pair to twice the same projector.
+    psi2 = cos(phi) psi1 + sin(phi) psi1_perp; phi = 0 collapses the pair.
     """
-    kets = _qubit_kets(np.array([angles.theta, 0.0, angles.phi, 0.0]))
-    return tuple(PovmElement(np.outer(k, k.conj())) for k in kets)
+    c, s = math.cos(angles.theta), math.sin(angles.theta)
+    psi1 = np.array([c, s])
+    psi2 = math.cos(angles.phi) * psi1 + math.sin(angles.phi) * np.array([s, -c])
+    return tuple(PovmElement(np.outer(k, k)) for k in (psi1, psi2))
 
 
 def epr_state() -> BipartiteState:
@@ -474,38 +473,9 @@ def _refine_loss(rho4: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return -q, -_ket_params(dq)
 
 
-# Scan points per kernel call, times dim_b^2. Each (points, 2, dim_b, dim_b)
-# temporary of the batched scan then stays near 2 MB, whatever the scan size.
-_SCAN_BLOCK_ENTRIES = 2**16
-
-
-def _scan_values(rho4: np.ndarray, kets_of, points: np.ndarray) -> np.ndarray:
-    """:func:`_witness_kernel` at every scan point, in blocks sized from dim_b."""
-    step = max(1, _SCAN_BLOCK_ENTRIES // rho4.shape[1] ** 2)
-    return np.concatenate([
-        _witness_kernel(rho4, kets_of(points[i : i + step]))
-        for i in range(0, len(points), step)
-    ])
-
-
-def _qubit_kets(x: np.ndarray) -> np.ndarray:
-    """Qubit ket pairs (..., 2, 2) from rows (..., 4) of (theta, beta1, phi, beta2).
-
-    The real family of :func:`projector_pair` extended with one azimuthal
-    phase per vector, covering the full Bloch sphere for each ket. beta1 =
-    beta2 = 0 reduces to the real family.
-    """
-    cos, sin = np.cos(x), np.sin(x)
-    phase = cos + 1j * sin  # columns 1 and 3 hold e^{i beta1}, e^{i beta2}
-    kets = np.empty(x.shape[:-1] + (2, 2), dtype=np.complex128)
-    perp = np.empty(x.shape[:-1] + (2,), dtype=np.complex128)
-    psi1 = kets[..., 0, :]
-    psi1[..., 0] = cos[..., 0]
-    psi1[..., 1] = phase[..., 1] * sin[..., 0]
-    perp[..., 0] = sin[..., 0]
-    perp[..., 1] = -phase[..., 1] * cos[..., 0]
-    kets[..., 1, :] = cos[..., 2:3] * psi1 + phase[..., 3:4] * sin[..., 2:3] * perp
-    return kets
+# Scan pairs per tile, times dim_b^2: each (pairs, dim_b, dim_b) complex
+# temporary of the pair scoring stays near 2 MB, whatever the scan size.
+_SCAN_BLOCK_ENTRIES = 2**17
 
 
 def _hyperspherical_ket(params: np.ndarray, dim: int) -> np.ndarray:
@@ -526,24 +496,71 @@ def _hyperspherical_ket(params: np.ndarray, dim: int) -> np.ndarray:
     return ket
 
 
-def _scan_points(axes_span, config: OptimizerConfig) -> np.ndarray:
-    """Full product grid when it fits in SCAN_CAP, else seeded random scan.
+def _scan_points(dim_a: int, config: OptimizerConfig) -> np.ndarray:
+    """Parameters (N, 2 dim_a - 2) of the scan kets for :func:`_hyperspherical_ket`.
 
-    axes_span is a (low, high, periodic) triple per parameter: periodic
-    axes exclude the right endpoint from the grid.
+    The grid takes grid_points polar angles, at half steps across (0, pi/2)
+    so that no ray repeats, and grid_points phases per axis. Past SCAN_CAP
+    pairs it takes instead the most Haar-random kets whose pairs fit, drawn
+    from ``seed``: squared moduli uniform on the simplex, phases uniform.
     """
-    g = config.grid_points
-    n_axes = len(axes_span)
-    if g**n_axes <= SCAN_CAP:
-        axes = [
-            np.linspace(lo, hi, g, endpoint=not periodic)
-            for lo, hi, periodic in axes_span
-        ]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        return np.stack([m.ravel() for m in mesh], axis=1)
+    g, n_polar = config.grid_points, dim_a - 1
+    n = g ** (2 * n_polar)
+    if n * (n - 1) // 2 <= SCAN_CAP:
+        axes = [(np.arange(g) + 0.5) * (math.pi / 2.0 / g)] * n_polar
+        axes += [np.arange(g) * (2.0 * math.pi / g)] * n_polar
+        return np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=1)
+    n = (1 + math.isqrt(1 + 8 * SCAN_CAP)) // 2
     rng = np.random.default_rng(config.seed)
-    lows, highs, _ = np.array(axes_span).T
-    return rng.uniform(lows, highs, size=(SCAN_CAP, n_axes))
+    amps = np.sqrt(rng.dirichlet(np.ones(dim_a), size=n))
+    rest = np.sqrt(np.cumsum(amps[:, :0:-1] ** 2, axis=1)[:, ::-1])  # |amps[k + 1:]|
+    phases = rng.uniform(0.0, 2.0 * math.pi, size=(n, n_polar))
+    return np.concatenate([np.arctan2(rest, amps[:, :-1]), phases], axis=1)
+
+
+def _steered_states(rho4: np.ndarray, kets: np.ndarray) -> np.ndarray:
+    """B states (n, db, db) steered by the A kets (n, da), normalised. A ket
+    whose outcome probability is at most PROB_FLOOR is divided by inf
+    instead, into the zero matrix, so every pair with it scores 0."""
+    da, db = rho4.shape[:2]
+    half = kets.conj() @ rho4.transpose(0, 2, 1, 3).reshape(da, -1)
+    blocks = (kets[:, None, :] @ half.reshape(-1, da, db * db)).reshape(-1, db, db)
+    probs = blocks.trace(axis1=-2, axis2=-1).real
+    return blocks / np.where(probs > PROB_FLOOR, probs, np.inf)[:, None, None]
+
+
+def _pair_scores(states: np.ndarray) -> np.ndarray:
+    """(n, n) board of Q(s_i, s_j) at [i, j] for i < j, -inf elsewhere.
+
+    The stacked s_j times each s_i give the products s_j s_i (Q and both trace
+    terms are symmetric in the pair), in tiles of _SCAN_BLOCK_ENTRIES / db^2 pairs."""
+    n, db = states.shape[:2]
+    stacked = states.reshape(n * db, db)
+    width = max(1, _SCAN_BLOCK_ENTRIES // db**2)
+    board = np.full((n, n), -np.inf)
+    i = 0
+    while i < n - 1:
+        rows = min(n - 1 - i, max(1, width // (n - 1 - i)))
+        for c in range(i + 1, n, width):
+            ba = stacked[c * db : (c + width) * db] @ states[i : i + rows]
+            v1, v2 = _trace_terms(ba.reshape(rows, -1, db, db))
+            board[i : i + rows, c : c + v1.shape[1]] = np.maximum(4.0 * (v1 - v2), 0.0)
+        i += rows
+    board[np.tri(n, dtype=bool)] = -np.inf  # tiles of several rows reach below
+    return board
+
+
+def _disjoint_pairs(board: np.ndarray, count: int) -> list[tuple[int, int]]:
+    """Up to ``count`` pairs (i, j) of the board, best first, no two sharing
+    a ket; ties go to the first pair in row order. Overwrites the board."""
+    pairs = []
+    while len(pairs) < count:
+        i, j = divmod(int(np.argmax(board)), len(board))
+        if board[i, j] == -np.inf:
+            break
+        pairs.append((i, j))
+        board[i] = board[j] = board[:, i] = board[:, j] = -np.inf
+    return pairs
 
 
 def maximize_witness(
@@ -551,21 +568,17 @@ def maximize_witness(
 ) -> DiscordReport:
     """Maximize the conditional-state witness over rank-1 projectors on A.
 
-    The coarse scan covers qubit A by (theta, beta1, phi, beta2), the real
-    projector family with an azimuthal phase per vector, and larger A by
-    polar and phase angles (2 dim_a - 2 per ket). It scores its points in
-    batched kernel calls on blocks of at most 2^16 / dim_b^2 points, so
-    its temporaries do not grow with the scan size. BFGS (:func:`_bfgs`)
-    then refines from the best distinct scan points, on the unconstrained
-    kets (Re k1, Im k1, Re k2, Im k2) with the analytic gradient; the
-    report scales each ket to unit norm. All starts run in lockstep: each
-    step scores the next point of every start still running in one kernel
-    call, and a start drops out when its search ends. The batched kernel
-    gives every point the bits it gets alone, so each start's path is that
-    of ``minimize`` on :func:`_refine_loss` of that point, and the result
-    is that of running the starts one after another: best_q is the first
-    maximum in the order scan, then each start's points. Deterministic for
-    a given config. Zero-probability points score 0 instead of raising.
+    The coarse scan steers each ket of :func:`_scan_points` once and scores
+    every pair from the steered stack (:func:`_pair_scores`). BFGS
+    (:func:`_bfgs`) then refines from the best min(starts, max_evals) pairs
+    that share no ket, on max_evals // (their number) evaluations each, on
+    the unconstrained kets (Re k1, Im k1, Re k2, Im k2) with the analytic
+    gradient; the report scales each ket to unit norm. The starts run in
+    lockstep, one kernel call per step over those still running. The kernel
+    gives every point the bits it gets alone, so the result is that of
+    ``minimize`` on :func:`_refine_loss` from each start in turn: best_q is
+    the first maximum in the order scan, then each start's points.
+    Deterministic for a given config. Zero-probability outcomes score 0.
     """
     if config is None:
         config = OptimizerConfig()
@@ -574,35 +587,17 @@ def maximize_witness(
         raise LayoutError("measured subsystem must have dim_a >= 2")
     rho4 = rho.state.matrix.reshape(da, db, da, db)
 
-    polar, azimuth = (0.0, math.pi / 2.0, False), (0.0, 2.0 * math.pi, True)
-    if da == 2:
-        kets_of = _qubit_kets
-        axes_span = [polar, azimuth] * 2
-    else:
-        def kets_of(x):
-            return _hyperspherical_ket(x.reshape(x.shape[:-1] + (2, -1)), da)
-
-        axes_span = ([polar] * (da - 1) + [azimuth] * (da - 1)) * 2
-
-    points = _scan_points(axes_span, config)
-    values = _scan_values(rho4, kets_of, points)
-    scan_best = int(np.argmax(values))
-    best_q = float(values[scan_best])
-    best_x = _ket_params(kets_of(points[scan_best]))
-    evaluations = len(points)
+    kets = _hyperspherical_ket(_scan_points(da, config), da)
+    board = _pair_scores(_steered_states(rho4, kets))
+    evaluations = len(kets) * (len(kets) - 1) // 2
+    best_q = float(board.max())
+    pairs = _disjoint_pairs(board, min(config.starts, config.max_evals))
+    starts = _ket_params(kets[np.array(pairs)])
+    best_x = starts[0]  # the scan optimum
     trace = [(best_x, best_q)]
 
-    starts: dict[tuple[float, ...], np.ndarray] = {}  # distinct points, best first
-    for idx in np.argsort(values)[::-1]:
-        starts.setdefault(tuple(points[idx]), points[idx])
-        if len(starts) == config.starts:
-            break
-
-    maxfev = max(config.max_evals // len(starts), 8)
-    runs = [
-        _bfgs(x0, maxfev=maxfev, gtol=REFINE_TOL)
-        for x0 in _ket_params(kets_of(np.stack(list(starts.values()))))
-    ]
+    maxfev = config.max_evals // len(starts)
+    runs = [_bfgs(x0, maxfev=maxfev, gtol=REFINE_TOL) for x0 in starts]
     pending = {i: next(run) for i, run in enumerate(runs)}  # start -> its next point
     peaks = [(-math.inf, None)] * len(runs)  # each start's first maximum
     results = [None] * len(runs)

@@ -28,13 +28,14 @@ from qwitness.correlations import (
     separable_example_state,
 )
 from qwitness.correlations import (
+    _disjoint_pairs,
     _hyperspherical_ket,
     _ket_params,
+    _pair_scores,
     _param_kets,
-    _qubit_kets,
     _refine_loss,
     _scan_points,
-    _scan_values,
+    _steered_states,
     _witness_kernel,
 )
 from qwitness.qcore import (
@@ -398,26 +399,22 @@ class TestMaximizeWitness:
             maximize_witness(BipartiteState(dm, 1, 2))
 
 
-# The small search the benchmark's cli-session runs: 4^4 scan points, 2 starts.
+# The small search the benchmark's cli-session runs: 4^2 kets, 120 pairs, 2 starts.
 SMALL = OptimizerConfig(grid_points=4, starts=2, max_evals=200)
-QUBIT_AXES = [(0.0, math.pi / 2.0, False), (0.0, 2.0 * math.pi, True)] * 2
 
 
 def rho4_of(rho):
     return rho.state.matrix.reshape(rho.dim_a, rho.dim_b, rho.dim_a, rho.dim_b)
 
 
-def qutrit_kets(points):
-    """Ket pairs of the dim_a = 3 search family, as maximize_witness builds them."""
-    return _hyperspherical_ket(points.reshape(points.shape[:-1] + (2, -1)), 3)
+def scan_kets(dim_a, config):
+    """The kets on A that maximize_witness scans under ``config``."""
+    return _hyperspherical_ket(_scan_points(dim_a, config), dim_a)
 
 
-QUTRIT_AXES = ([(0.0, math.pi / 2.0, False)] * 2 + [(0.0, 2.0 * math.pi, True)] * 2) * 2
-
-
-def search_family(rho):
-    """(kets_of, axes_span) of maximize_witness for dim_a 2 or 3."""
-    return {2: (_qubit_kets, QUBIT_AXES), 3: (qutrit_kets, QUTRIT_AXES)}[rho.dim_a]
+def random_ket_pairs(rng, dim_a, n):
+    """n random ket pairs (n, 2, dim_a) of the search family."""
+    return _hyperspherical_ket(rng.uniform(-math.pi, math.pi, size=(n, 2, 2 * dim_a - 2)), dim_a)
 
 
 def report_fields(report):
@@ -465,25 +462,6 @@ def record_starts(monkeypatch):
 
 
 class TestWitnessKernel:
-    def test_batched_scan_is_bitwise_the_single_point_objective(self, monkeypatch):
-        """A point scores the same bits in a stacked kernel call as in a
-        call on that point alone."""
-        rng = np.random.default_rng(33)
-        rho = BipartiteState(ginibre_state(6, 3, rng), 2, 3)
-        points = _scan_points(QUBIT_AXES, OptimizerConfig())
-        assert points.shape == (12**4, 4)
-        batched = _witness_kernel(rho4_of(rho), _qubit_kets(points))
-        single = [_witness_kernel(rho4_of(rho), _qubit_kets(p[None]))[0] for p in points]
-        assert batched.tobytes() == np.array(single).tobytes()
-
-        rho = BipartiteState(ginibre_state(6, 4, rng), 3, 2)
-        monkeypatch.setattr(correlations, "SCAN_CAP", 3000)
-        points = _scan_points(QUTRIT_AXES, OptimizerConfig(seed=9))
-        assert points.shape == (3000, 8)
-        batched = _witness_kernel(rho4_of(rho), qutrit_kets(points))
-        single = [_witness_kernel(rho4_of(rho), qutrit_kets(p[None]))[0] for p in points]
-        assert batched.tobytes() == np.array(single).tobytes()
-
     @pytest.mark.parametrize("dims", [(2, 2), (3, 2), (2, 3), (4, 3)], ids=str)
     def test_batched_refine_loss_is_bitwise_one_point(self, dims):
         """The lockstep refinement scores its starts together: each value
@@ -512,30 +490,14 @@ class TestWitnessKernel:
             central = (ahead - behind) / (2.0 * h)
             assert np.linalg.norm(central - grad[0]) <= 1e-6 * np.linalg.norm(grad[0])
 
-    def test_blocked_scan_is_bitwise_one_kernel_call(self, monkeypatch):
-        """A 2x8 default-config scan runs in many blocks; its values and its
-        report match the unblocked scan bit for bit."""
-        rng = np.random.default_rng(37)
-        rho = BipartiteState(ginibre_state(16, 16, rng), 2, 8)
-        points = _scan_points(QUBIT_AXES, OptimizerConfig())
-        assert len(points) > 2 * (correlations._SCAN_BLOCK_ENTRIES // 8**2)
-        blocked = _scan_values(rho4_of(rho), _qubit_kets, points)
-        whole = _witness_kernel(rho4_of(rho), _qubit_kets(points))
-        assert blocked.tobytes() == whole.tobytes()
-
-        report = maximize_witness(rho)
-        monkeypatch.setattr(correlations, "_SCAN_BLOCK_ENTRIES", len(points) * 8**2)
-        assert report_fields(report) == report_fields(maximize_witness(rho))
-
     def test_matches_correlation_witness_on_the_same_kets(self):
         rng = np.random.default_rng(34)
-        cases = (
-            (BipartiteState(ginibre_state(4, 2, rng), 2, 2), _qubit_kets, 4),
-            (BipartiteState(ginibre_state(6, 6, rng), 2, 3), _qubit_kets, 4),
-            (BipartiteState(ginibre_state(6, 3, rng), 3, 2), qutrit_kets, 8),
-        )
-        for rho, kets_of, n_params in cases:
-            kets = kets_of(rng.uniform(-math.pi, math.pi, size=(20, n_params)))
+        for rho in (
+            BipartiteState(ginibre_state(4, 2, rng), 2, 2),
+            BipartiteState(ginibre_state(6, 6, rng), 2, 3),
+            BipartiteState(ginibre_state(6, 3, rng), 3, 2),
+        ):
+            kets = random_ket_pairs(rng, rho.dim_a, 20)
             values = _witness_kernel(rho4_of(rho), kets)
             for (k1, k2), q in zip(kets, values):
                 e1 = PovmElement(np.outer(k1, k1.conj()))
@@ -543,53 +505,207 @@ class TestWitnessKernel:
                 assert q == pytest.approx(correlation_witness(rho, e1, e2), abs=1e-12)
 
     def test_zero_weight_outcomes_score_zero_without_warnings(self):
-        """On |0><0| (x) rho_B, grid kets near |1> give outcome weight ~1e-33
-        and the pairs below weight exactly 0; all score 0 with gradient 0
-        and are never divided by."""
+        """On |0><0| (x) rho_B the ket |1> has outcome weight exactly 0, and
+        the scan kets weight at least sin^2(pi/16). The scan steers |1> into
+        the zero matrix, so its pairs score 0; the kernel scores the pairs
+        with it 0 with gradient 0. Nothing is divided by it."""
         rng = np.random.default_rng(35)
         rho = product_state(pure_state(np.array([1.0, 0.0])), ginibre_state(2, 2, rng))
-        points = _scan_points(QUBIT_AXES, SMALL)
-        exact = np.array([[[0, 1], [1, 0]], [[1, 0], [0, 1]]], dtype=np.complex128)
-        kets = np.concatenate([_qubit_kets(points), exact])
-        dead = (np.abs(kets[..., 0]) ** 2 <= PROB_FLOOR).any(axis=-1)
+        one = np.array([[0.0, 1.0]], dtype=np.complex128)
+        kets = np.concatenate([scan_kets(2, SMALL), one])
+        pairs = np.stack([np.stack([kets[i], kets[-1 - i]]) for i in range(len(kets))])
+        dead = (np.abs(pairs[..., 0]) ** 2 <= PROB_FLOOR).any(axis=-1)
         assert dead.any() and not dead.all()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            values, grads = _witness_kernel(rho4_of(rho), kets, grad=True)
-            losses, loss_grads = _refine_loss(rho4_of(rho), _ket_params(kets[dead]))
+            states = _steered_states(rho4_of(rho), kets)
+            board = _pair_scores(states)
+            values, grads = _witness_kernel(rho4_of(rho), pairs, grad=True)
+            losses, loss_grads = _refine_loss(rho4_of(rho), _ket_params(pairs[dead]))
             report = maximize_witness(rho, SMALL)
+        assert np.all(states[-1] == 0.0) and np.all(board[:-1, -1] == 0.0)
         assert np.all(np.isfinite(values)) and np.all(np.isfinite(grads))
         assert np.all(values[dead] == 0.0) and np.all(grads[dead] == 0.0)
         assert np.all(losses == 0.0) and np.all(loss_grads == 0.0)
-        assert values.max() <= 1e-12
+        assert values.max() <= 1e-12 and board.max() <= 1e-12
         assert report.verdict == "no_violation_found"
 
-    def test_evaluations_are_scan_points_plus_refine_calls(self, monkeypatch):
+
+def upper_pairs(n):
+    return list(zip(*np.triu_indices(n, 1)))
+
+
+class TestPerKetScan:
+    """The scan steers each ket once and scores every pair from the stack."""
+
+    @pytest.mark.parametrize(
+        "dims, config",
+        [
+            ((2, 2), OptimizerConfig(grid_points=5)),
+            ((2, 3), OptimizerConfig(grid_points=4)),
+            ((2, 8), OptimizerConfig(grid_points=3)),
+            ((3, 2), OptimizerConfig(grid_points=2)),
+            ((4, 3), OptimizerConfig(grid_points=2)),
+        ],
+        ids=["2x2-grid-5", "2x3-grid-4", "2x8-grid-3", "3x2-grid-2", "4x3-grid-2"],
+    )
+    def test_every_pair_score_is_the_correlation_witness(self, dims, config):
+        da, db = dims
+        rho = BipartiteState(ginibre_state(da * db, da * db, np.random.default_rng(40)), da, db)
+        kets = scan_kets(da, config)
+        board = _pair_scores(_steered_states(rho4_of(rho), kets))
+        for i, j in upper_pairs(len(kets)):
+            e1, e2 = (PovmElement(np.outer(k, k.conj())) for k in kets[[i, j]])
+            assert board[i, j] == pytest.approx(correlation_witness(rho, e1, e2), abs=1e-12)
+        assert np.all(board[np.tri(len(kets), dtype=bool)] == -np.inf)
+
+    @pytest.mark.parametrize("dim_a, grid", [(2, 2), (2, 12), (2, 17), (3, 3), (3, 4), (4, 2)])
+    def test_scan_grid_has_no_repeated_ray(self, dim_a, grid):
+        """Half-step polar angles keep every grid ket off the poles, so no two
+        grid points give the same ray."""
+        kets = scan_kets(dim_a, OptimizerConfig(grid_points=grid))
+        assert len(kets) == grid ** (2 * dim_a - 2)
+        overlap = np.abs(kets.conj() @ kets.T) ** 2
+        np.fill_diagonal(overlap, 0.0)
+        assert overlap.max() < 1.0 - 1e-6
+
+    def test_pairs_above_the_cap_fall_back_to_random_kets(self, monkeypatch):
+        """A grid with more pairs than SCAN_CAP is replaced by the most seeded
+        random kets whose pairs fit."""
+        assert len(scan_kets(2, OptimizerConfig(grid_points=17))) == 17**2  # 41,616 pairs
+        for cap, n in ((correlations.SCAN_CAP, 316), (2000, 63), (1, 2)):
+            monkeypatch.setattr(correlations, "SCAN_CAP", cap)
+            for dim_a in (2, 3):
+                kets = scan_kets(dim_a, OptimizerConfig(grid_points=18, seed=4))
+                assert len(kets) == n
+                assert n * (n - 1) // 2 <= cap < (n + 1) * n // 2
+                assert kets.tobytes() == scan_kets(dim_a, OptimizerConfig(grid_points=18, seed=4)).tobytes()
+                assert kets.tobytes() != scan_kets(dim_a, OptimizerConfig(grid_points=18, seed=5)).tobytes()
+
+    @pytest.mark.parametrize("dim_a", [2, 3, 5])
+    def test_random_kets_are_haar_distributed(self, dim_a):
+        """Haar-random unit kets in C^d have squared moduli uniform on the
+        simplex: each is Beta(1, d - 1), with mean 1/d and variance
+        (d - 1) / (d^2 (d + 1)). Uniform polar angles would miss this (at
+        d = 2 their variance is 1/8, not 1/12)."""
+        weights = np.concatenate([
+            np.abs(scan_kets(dim_a, OptimizerConfig(grid_points=40, seed=s))) ** 2
+            for s in range(10)
+        ])
+        assert weights.shape == (3160, dim_a)
+        var = (dim_a - 1) / (dim_a**2 * (dim_a + 1))
+        assert np.abs(weights.mean(axis=0) - 1 / dim_a).max() < 0.02
+        assert np.abs(weights.var(axis=0) / var - 1).max() < 0.1
+
+    def test_pair_scoring_is_tiled(self, monkeypatch):
+        """No pair product handed to the trace terms holds more than
+        _SCAN_BLOCK_ENTRIES entries, whatever the scan size (a 41,616-pair
+        scan at dim_b = 8 unblocked would hold 2.7M), and tiles of any size
+        give the same scores to rounding."""
+        rng = np.random.default_rng(37)
+        rho = BipartiteState(ginibre_state(16, 16, rng), 2, 8)
+        states = _steered_states(rho4_of(rho), scan_kets(2, OptimizerConfig(grid_points=17)))
+        sizes = []
+        real_terms = correlations._trace_terms
+
+        def trace_terms(ab):
+            sizes.append(ab.size)
+            return real_terms(ab)
+
+        monkeypatch.setattr(correlations, "_trace_terms", trace_terms)
+        board = _pair_scores(states)
+        assert len(sizes) > 10 and max(sizes) <= correlations._SCAN_BLOCK_ENTRIES
+        upper = np.triu(np.ones(board.shape, dtype=bool), 1)
+        for entries in (64 * 5, 64, 10**9):  # one row in chunks, single pairs, one tile
+            monkeypatch.setattr(correlations, "_SCAN_BLOCK_ENTRIES", entries)
+            sizes.clear()
+            other = _pair_scores(states)
+            assert max(sizes) <= max(entries, 64)
+            assert np.abs(other[upper] - board[upper]).max() <= 1e-15
+            assert np.all(other[~upper] == -np.inf)
+
+    def test_disjoint_pairs_are_best_first_with_ties_to_the_first(self):
+        board = np.full((5, 5), -np.inf)
+        for (i, j), q in zip(upper_pairs(5), [3, 7, 1, 7, 7, 2, 0, 5, 7, 4]):
+            board[i, j] = q
+        # 7 at (0, 2), (0, 4), (1, 2) and (2, 4): (0, 2) goes first. Without
+        # kets 0 and 2, (1, 3), (1, 4) and (3, 4) are left, and (3, 4) leads.
+        assert _disjoint_pairs(board.copy(), 5) == [(0, 2), (3, 4)]
+        assert _disjoint_pairs(board.copy(), 1) == [(0, 2)]
+
+    @pytest.mark.parametrize(
+        "dims, config",
+        [
+            ((2, 2), OptimizerConfig()),
+            ((2, 3), OptimizerConfig(grid_points=3, starts=4)),
+            ((3, 2), OptimizerConfig(starts=6, max_evals=300)),
+            ((2, 2), OptimizerConfig(grid_points=2, starts=5)),
+        ],
+        ids=["2x2-default", "2x3-grid-3", "3x2-random", "2x2-four-kets"],
+    )
+    def test_starts_are_the_best_pairs_sharing_no_ket(self, monkeypatch, dims, config):
+        """Greedy over the pairs in order of score: a pair starts a refinement
+        unless it shares a ket with a better start. Four kets allow only two
+        starts."""
+        da, db = dims
+        rho = BipartiteState(ginibre_state(da * db, da * db, np.random.default_rng(41)), da, db)
+        kets = scan_kets(da, config)
+        board = _pair_scores(_steered_states(rho4_of(rho), kets))
+        expected, used = [], set()
+        for i, j in sorted(upper_pairs(len(kets)), key=lambda p: -board[p]):
+            if len(expected) < config.starts and not {i, j} & used:
+                expected.append((i, j))
+                used |= {i, j}
+        starts = record_starts(monkeypatch)
+        report = maximize_witness(rho, config)
+        assert [s.x0.tobytes() for s in starts] == [
+            _ket_params(kets[[i, j]]).tobytes() for i, j in expected
+        ]
+        assert len(starts) == min(config.starts, len(kets) // 2)
+        assert report.trace[0][1] == board[expected[0]]
+
+    @pytest.mark.parametrize("max_evals", [1, 2, 3, 9, 10, 11, 25])
+    def test_max_evals_is_the_refinement_budget(self, monkeypatch, max_evals):
+        """Only the best min(starts, max_evals) starts run, on max_evals // n
+        evaluations each, so the refinement never spends more than max_evals."""
+        starts = record_starts(monkeypatch)
+        rho = BipartiteState(ginibre_state(4, 4, np.random.default_rng(42)), 2, 2)
+        config = OptimizerConfig(starts=10, max_evals=max_evals)
+        report = maximize_witness(rho, config)
+        n = min(10, max_evals)
+        assert len(starts) == n
+        assert all(s.options["maxfev"] == max_evals // n for s in starts)
+        spent = sum(s.result.nfev for s in starts)
+        assert spent <= max_evals
+        assert report.evaluations == 144 * 143 // 2 + spent
+
+    def test_evaluations_are_scored_pairs_plus_refine_calls(self, monkeypatch):
         scanned = []
 
-        def scan_points(axes_span, config):
-            points = real_scan(axes_span, config)
+        def scan_points(dim_a, config):
+            points = real_scan(dim_a, config)
             scanned.append(len(points))
             return points
 
         real_scan = correlations._scan_points
         monkeypatch.setattr(correlations, "_scan_points", scan_points)
         starts = record_starts(monkeypatch)
-        # The 3x2 search scans 2000 random points; the EPR grid stays full.
+        # The 3x2 search scans 63 random kets; the EPR grid stays full.
         monkeypatch.setattr(correlations, "SCAN_CAP", 2000)
         rng = np.random.default_rng(36)
-        for rho, config in (
-            (epr_state(), SMALL),
+        for rho, config, kets in (
+            (epr_state(), SMALL, 16),
             (BipartiteState(ginibre_state(6, 2, rng), 3, 2),
-             OptimizerConfig(starts=3, max_evals=300)),
+             OptimizerConfig(starts=3, max_evals=300), 63),
         ):
             scanned.clear()
             starts.clear()
             report = maximize_witness(rho, config)
+            assert scanned == [kets]
             assert len(starts) == config.starts
             nfev = [start.result.nfev for start in starts]
             assert [len(start.points) for start in starts] == nfev
-            assert report.evaluations == scanned[0] + sum(nfev)
+            assert report.evaluations == kets * (kets - 1) // 2 + sum(nfev)
 
     @pytest.mark.parametrize(
         "make, best_q", [(epr_state, 1.0), (separable_example_state, 1.0 / 16.0)]
@@ -598,7 +714,7 @@ class TestWitnessKernel:
         starts = record_starts(monkeypatch)
         report = maximize_witness(make(), SMALL)
         assert report.best_q == pytest.approx(best_q, abs=1e-12)
-        assert report.evaluations == 4**4 + sum(start.result.nfev for start in starts)
+        assert report.evaluations == 16 * 15 // 2 + sum(start.result.nfev for start in starts)
         assert report.verdict == "quantum_correlated"
 
 
@@ -686,12 +802,12 @@ def sequential_search(rho, config):
     best_q raised only by a strictly larger value. Returns the report and
     each start's result."""
     rho4 = rho4_of(rho)
-    kets_of, axes_span = search_family(rho)
-    points = _scan_points(axes_span, config)
-    values = _scan_values(rho4, kets_of, points)
-    scan_best = int(np.argmax(values))
-    best_q, best_x = float(values[scan_best]), _ket_params(kets_of(points[scan_best]))
-    evaluations = len(points)
+    kets = scan_kets(rho.dim_a, config)
+    board = _pair_scores(_steered_states(rho4, kets))
+    best_q = float(board.max())
+    evaluations = len(kets) * (len(kets) - 1) // 2
+    pairs = _disjoint_pairs(board, min(config.starts, config.max_evals))
+    best_x = _ket_params(kets[list(pairs[0])])
     trace = [(best_x, best_q)]
 
     def loss(x):
@@ -702,16 +818,11 @@ def sequential_search(rho, config):
             best_q, best_x = float(-f[0]), np.array(x)
         return float(f[0]), g[0]
 
-    starts = {}
-    for idx in np.argsort(values)[::-1]:
-        starts.setdefault(tuple(points[idx]), points[idx])
-        if len(starts) == config.starts:
-            break
-    maxfev = max(config.max_evals // len(starts), 8)
+    maxfev = config.max_evals // len(pairs)
     results = []
-    for x0 in starts.values():
+    for i, j in pairs:
         res = correlations.minimize(
-            loss, _ket_params(kets_of(x0)), maxfev=maxfev, gtol=correlations.REFINE_TOL
+            loss, _ket_params(kets[[i, j]]), maxfev=maxfev, gtol=correlations.REFINE_TOL
         )
         results.append(res)
         trace.append((res.x, -res.fun))
@@ -777,7 +888,7 @@ class TestLockstepRefinement:
         report = maximize_witness(epr_state(), OptimizerConfig(grid_points=4, starts=3))
         assert report.best_q == 5.0 and report.best_params == unit_params(top0)
         assert batches == [3, 2, 1, 1]
-        assert report.evaluations == 4**4 + 4 + 1 + 2
+        assert report.evaluations == 16 * 15 // 2 + 4 + 1 + 2
         assert [q for _, q in report.trace[1:]] == [5.0, 5.0, 5.0]
 
     def test_starts_leave_the_lockstep_at_different_steps(self):
