@@ -421,13 +421,13 @@ def _bfgs(x0, *, maxfev: int, gtol: float):
     return _Refined(x=x, fun=f, nfev=nfev, status=0)
 
 
-def _witness_kernel(rho4: np.ndarray, kets: np.ndarray, grad: bool = False):
+def _witness_kernel(rho4: np.ndarray, kets: np.ndarray):
     """Q of the B states steered by the A ket pairs kets (..., 2, dim_a).
 
     rho4 is the state as (da, db, da, db). Q is invariant to each ket's
-    scale. Returns an array of shape kets.shape[:-2]; with ``grad``, also
-    dQ/dk = 8 W_i k_i of shape kets.shape, so that the gradient in
-    (Re k_i, Im k_i) is (Re, Im) of it. Here C = [s1, s2] and
+    scale. Returns Q, of shape kets.shape[:-2], and dQ/dk = 8 W_i k_i, of
+    shape kets.shape, so that the gradient in (Re k_i, Im k_i) is (Re, Im)
+    of it. Here C = [s1, s2] and
     G1 = [s2, C^dag], G2 = [C^dag, s1], H_i = (G_i - Tr(G_i s_i) I) / p_i
     and W_i[a, c] = Tr(H_i rho4[a, :, c, :]). A point with an outcome
     probability at or below PROB_FLOOR scores 0 with gradient 0, and is
@@ -445,8 +445,6 @@ def _witness_kernel(rho4: np.ndarray, kets: np.ndarray, grad: bool = False):
     v1, v2 = _trace_terms(ab)
     values = np.zeros(live.shape)
     values[live] = np.maximum(4.0 * (v1 - v2), 0.0)
-    if not grad:
-        return values
     c_dag = ab.conj().swapaxes(-2, -1) - ab  # [s2, s1] for Hermitian s
     g = np.stack((s2 @ c_dag - c_dag @ s2, c_dag @ s1 - s1 @ c_dag), axis=-3)
     tr = np.einsum("...jk,...kj->...", g, s).real[..., None, None]
@@ -469,7 +467,7 @@ def _param_kets(x: np.ndarray) -> np.ndarray:
 
 def _refine_loss(rho4: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """-Q and its gradient at the points x (n, 4 dim_a) of :func:`_ket_params`."""
-    q, dq = _witness_kernel(rho4, _param_kets(x), grad=True)
+    q, dq = _witness_kernel(rho4, _param_kets(x))
     return -q, -_ket_params(dq)
 
 

@@ -498,37 +498,59 @@ class TestWitnessKernel:
             BipartiteState(ginibre_state(6, 3, rng), 3, 2),
         ):
             kets = random_ket_pairs(rng, rho.dim_a, 20)
-            values = _witness_kernel(rho4_of(rho), kets)
+            values = _witness_kernel(rho4_of(rho), kets)[0]
             for (k1, k2), q in zip(kets, values):
                 e1 = PovmElement(np.outer(k1, k1.conj()))
                 e2 = PovmElement(np.outer(k2, k2.conj()))
                 assert q == pytest.approx(correlation_witness(rho, e1, e2), abs=1e-12)
 
-    def test_zero_weight_outcomes_score_zero_without_warnings(self):
-        """On |0><0| (x) rho_B the ket |1> has outcome weight exactly 0, and
-        the scan kets weight at least sin^2(pi/16). The scan steers |1> into
-        the zero matrix, so its pairs score 0; the kernel scores the pairs
-        with it 0 with gradient 0. Nothing is divided by it."""
-        rng = np.random.default_rng(35)
-        rho = product_state(pure_state(np.array([1.0, 0.0])), ginibre_state(2, 2, rng))
-        one = np.array([[0.0, 1.0]], dtype=np.complex128)
-        kets = np.concatenate([scan_kets(2, SMALL), one])
+    @staticmethod
+    def floor_checks(rho):
+        """Scan and kernel results for the scan kets plus |1> and the unit
+        ket along (1e-17, 1), which weigh at most PROB_FLOOR on rho."""
+        floor = np.array([[0.0, 1.0], [1e-17, 1.0]], dtype=np.complex128)
+        kets = np.concatenate([scan_kets(2, SMALL), floor / np.linalg.norm(floor, axis=1)[:, None]])
         pairs = np.stack([np.stack([kets[i], kets[-1 - i]]) for i in range(len(kets))])
+        pairs = np.concatenate([pairs, kets[[-2, -1, -1, -2]].reshape(2, 2, 2)])
         dead = (np.abs(pairs[..., 0]) ** 2 <= PROB_FLOOR).any(axis=-1)
         assert dead.any() and not dead.all()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             states = _steered_states(rho4_of(rho), kets)
             board = _pair_scores(states)
-            values, grads = _witness_kernel(rho4_of(rho), pairs, grad=True)
+            values, grads = _witness_kernel(rho4_of(rho), pairs)
             losses, loss_grads = _refine_loss(rho4_of(rho), _ket_params(pairs[dead]))
             report = maximize_witness(rho, SMALL)
-        assert np.all(states[-1] == 0.0) and np.all(board[:-1, -1] == 0.0)
+        assert np.all(states[-2:] == 0.0)
+        assert np.all(board[:-2, -2:] == 0.0) and board[-2, -1] == 0.0
         assert np.all(np.isfinite(values)) and np.all(np.isfinite(grads))
         assert np.all(values[dead] == 0.0) and np.all(grads[dead] == 0.0)
         assert np.all(losses == 0.0) and np.all(loss_grads == 0.0)
+        return values, board, report
+
+    def test_zero_weight_outcomes_score_zero_without_warnings(self):
+        """On |0><0| (x) rho_B the ket |1> has outcome weight exactly 0, the
+        ket along (1e-17, 1) about 1e-34, and the scan kets at least
+        sin^2(pi/16). The scan steers the two into the zero matrix, so their
+        pairs score 0; the kernel scores the pairs with them 0 with gradient
+        0. Nothing is divided by them."""
+        rng = np.random.default_rng(35)
+        rho = product_state(pure_state(np.array([1.0, 0.0])), ginibre_state(2, 2, rng))
+        values, board, report = self.floor_checks(rho)
         assert values.max() <= 1e-12 and board.max() <= 1e-12
         assert report.verdict == "no_violation_found"
+
+    def test_sub_floor_outcomes_score_zero(self):
+        """On (1 - w) |0><0| (x) sigma + w |1><1| (x) tau with w = 1e-13, |1>
+        and the ket along (1e-17, 1) weigh about w: nonzero, yet below
+        PROB_FLOOR. Steered, they would give tau, which does not commute
+        with sigma, so their pairs would score well above 0. The floor, not
+        a test for zero weight, makes those pairs score 0."""
+        rng = np.random.default_rng(36)
+        w, sigma, tau = 1e-13, ginibre_state(2, 2, rng).matrix, ginibre_state(2, 2, rng).matrix
+        assert np.abs(sigma @ tau - tau @ sigma).max() > 0.1
+        matrix = (1 - w) * np.kron(np.diag([1.0, 0.0]), sigma) + w * np.kron(np.diag([0.0, 1.0]), tau)
+        self.floor_checks(BipartiteState(DensityMatrix(matrix), 2, 2))
 
 
 def upper_pairs(n):
