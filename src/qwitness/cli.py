@@ -21,9 +21,10 @@ formatting, so parsing them back loses nothing. Fringe CSV rows are
 Exit codes: 0 success, 1 usage error, 2 invalid input data, 3 runtime or
 I/O failure. A flag value out of range is a usage error, found before any
 file is read; this covers `random-state --dim` below 1, `--shots` below 1,
-a `--seed` outside [0, 2^64 - 1] (the range of RandomSpec), a `discord
---dims` split with dim_a below 2 or dim_b below 1 and a non-finite
-`example --phi` or `--theta`. A `random-state --rank` outside
+a `--seed` outside [0, 2^64 - 1] (the range of RandomSpec), an
+`interfere --phases` outside [3, 2^16], a `discord --dims` split with
+dim_a below 2 or dim_b below 1 and a non-finite `example --phi` or
+`--theta`. A `random-state --rank` outside
 [1, --dim] is a data error, as is a state file that is not UTF-8 JSON or
 whose dim or dims is not a JSON integer or whose matrix entries are not
 JSON numbers, or that is nested too deeply to parse. An allocation the
@@ -94,8 +95,10 @@ _INT_FLOORS = {
     "phases": 3, "seed": 0, "grid": 2, "starts": 1, "max_evals": 1, "dim": 1,
     "dims": (2, 1), "shots": 1,
 }
-# Largest accepted --seed: RandomSpec's range, on every subcommand.
-_SEED_MAX = 2**64 - 1
+# Largest accepted value of each integer flag that has one: --seed spans
+# RandomSpec's range on every subcommand, and --phases keeps the phase grid
+# small enough to build.
+_INT_CEILINGS = {"phases": 2**16, "seed": 2**64 - 1}
 _FINITE_FLOATS = ("phi", "theta")
 
 _NEGATIVE_FLOAT = re.compile(
@@ -243,7 +246,8 @@ def _add_interfere_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--u", choices=("u1", "u2"), required=True)
     p.add_argument("--state-a", required=True, metavar="F")
     p.add_argument("--state-b", required=True, metavar="F")
-    p.add_argument("--phases", type=int, default=8, metavar="K")
+    p.add_argument("--phases", type=int, default=8, metavar="K",
+                   help="phases in the fringe scan, 3 to 2^16")
     p.add_argument("--mode", choices=("exact", "sampled"), default="exact")
     p.add_argument("--shots", type=int, default=None, metavar="N")
     p.add_argument("--seed", type=int, default=0, metavar="S")
@@ -334,8 +338,10 @@ def _check_flag_ranges(args) -> None:
             low = " ".join(map(str, floors))
             got = " ".join(map(str, values))
             raise _UsageError(f"{flag} must be >= {low}, got {got}")
-    if getattr(args, "seed", 0) > _SEED_MAX:
-        raise _UsageError(f"--seed must be <= {_SEED_MAX}, got {args.seed}")
+    for dest, ceiling in _INT_CEILINGS.items():
+        value = getattr(args, dest, None)
+        if value is not None and value > ceiling:
+            raise _UsageError(f"--{dest} must be <= {ceiling}, got {value}")
     for dest in _FINITE_FLOATS:
         value = getattr(args, dest, None)
         if value is not None and not math.isfinite(value):

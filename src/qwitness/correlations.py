@@ -27,6 +27,7 @@ of a discord-style detector.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -415,10 +416,30 @@ def _bfgs(x0, *, maxfev: int, gtol: float):
             if h is None:
                 h = sy / float(y @ y) * np.eye(len(x))
             hy = h @ y
-            h += (sy + y @ hy) / sy**2 * np.outer(s, s)
-            h -= (np.outer(hy, s) + np.outer(s, hy)) / sy
+            h += (sy + y @ hy) / sy**2 * (s[:, None] * s)
+            hys = hy[:, None] * s  # np.outer(hy, s); its transpose is np.outer(s, hy)
+            h -= (hys + hys.T) / sy
         x, f, g = x_new, f_new, g_new
     return _Refined(x=x, fun=f, nfev=nfev, status=0)
+
+
+def _floored(probs: np.ndarray) -> np.ndarray:
+    """The outcome probabilities to divide steered blocks by: each at or
+    below PROB_FLOOR is inf instead, which turns its block into the zero
+    matrix, so every pair with that ket scores 0 with gradient 0."""
+    return np.where(probs > PROB_FLOOR, probs, np.inf)
+
+
+# Signs that turn the stacked commutators [s_j, C^dag], j the other ket of
+# each pair, into G1 = [s2, C^dag] and G2 = [C^dag, s1].
+_COMMUTATOR_SIGNS = np.array([1.0, -1.0])[:, None, None]
+
+
+@functools.cache
+def _identity(dim: int) -> np.ndarray:
+    eye = np.eye(dim)
+    eye.setflags(write=False)
+    return eye
 
 
 def _witness_kernel(rho4: np.ndarray, kets: np.ndarray):
@@ -429,29 +450,29 @@ def _witness_kernel(rho4: np.ndarray, kets: np.ndarray):
     shape kets.shape, so that the gradient in (Re k_i, Im k_i) is (Re, Im)
     of it. Here C = [s1, s2] and
     G1 = [s2, C^dag], G2 = [C^dag, s1], H_i = (G_i - Tr(G_i s_i) I) / p_i
-    and W_i[a, c] = Tr(H_i rho4[a, :, c, :]). A point with an outcome
-    probability at or below PROB_FLOOR scores 0 with gradient 0, and is
-    never divided by.
+    and W_i[a, c] = Tr(H_i rho4[a, :, c, :]). Each steered block is divided
+    by its outcome probability under :func:`_floored`, the floor rule of
+    :func:`_steered_states`: a point with an outcome probability at or
+    below PROB_FLOOR has a zero steered state, so it scores 0 with
+    gradient 0, and no point is divided by a vanishing weight.
     """
     blocks = np.einsum("...a,ajck,...c->...jk", kets.conj(), rho4, kets)
-    probs = blocks.trace(axis1=-2, axis2=-1).real
-    live = (probs > PROB_FLOOR).all(axis=-1)
-    p = probs[live][..., None, None]
-    s = blocks[live] / p
-    s1, s2 = s[..., 0, :, :], s[..., 1, :, :]
+    p = _floored(blocks.trace(axis1=-2, axis2=-1).real)[..., None, None]
+    s = blocks / p
     # v1 = sum |ab|^2 is Tr(a^2 b^2) for Hermitian pairs; the steered
     # blocks are Hermitian to rounding.
-    ab = s1 @ s2
+    ab = s[..., 0, :, :] @ s[..., 1, :, :]
     v1, v2 = _trace_terms(ab)
-    values = np.zeros(live.shape)
-    values[live] = np.maximum(4.0 * (v1 - v2), 0.0)
-    c_dag = ab.conj().swapaxes(-2, -1) - ab  # [s2, s1] for Hermitian s
-    g = np.stack((s2 @ c_dag - c_dag @ s2, c_dag @ s1 - s1 @ c_dag), axis=-3)
+    c_dag = (ab.conj().swapaxes(-2, -1) - ab)[..., None, :, :]  # [s2, s1] for Hermitian s
+    swapped = s[..., ::-1, :, :]
+    g = swapped @ c_dag
+    g -= c_dag @ swapped
+    g *= _COMMUTATOR_SIGNS
     tr = np.einsum("...jk,...kj->...", g, s).real[..., None, None]
-    w = np.einsum("...jk,akcj->...ac", (g - tr * np.eye(rho4.shape[1])) / p, rho4)
-    grads = np.zeros(kets.shape, dtype=np.complex128)
-    grads[live] = 8.0 * np.einsum("...ac,...c->...a", w, kets[live])
-    return values, grads
+    g -= tr * _identity(rho4.shape[1])
+    g /= p
+    w = np.einsum("...jk,akcj->...ac", g, rho4)  # g now holds H1, H2
+    return np.maximum(4.0 * (v1 - v2), 0.0), 8.0 * np.einsum("...ac,...c->...a", w, kets)
 
 
 def _ket_params(kets: np.ndarray) -> np.ndarray:
@@ -467,8 +488,15 @@ def _param_kets(x: np.ndarray) -> np.ndarray:
 
 def _refine_loss(rho4: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """-Q and its gradient at the points x (n, 4 dim_a) of :func:`_ket_params`."""
-    q, dq = _witness_kernel(rho4, _param_kets(x))
-    return -q, -_ket_params(dq)
+    parts = x.reshape(len(x), 2, 2, -1)
+    kets = np.empty(parts[:, :, 0].shape, dtype=np.complex128)
+    kets.real, kets.imag = parts[:, :, 0], parts[:, :, 1]
+    q, dq = _witness_kernel(rho4, kets)
+    grads = np.empty_like(x)
+    rows = grads.reshape(parts.shape)
+    np.negative(dq.real, out=rows[:, :, 0])
+    np.negative(dq.imag, out=rows[:, :, 1])
+    return np.negative(q, out=q), grads
 
 
 # Scan pairs per tile, times dim_b^2: each (pairs, dim_b, dim_b) complex
@@ -523,8 +551,7 @@ def _steered_states(rho4: np.ndarray, kets: np.ndarray) -> np.ndarray:
     da, db = rho4.shape[:2]
     half = kets.conj() @ rho4.transpose(0, 2, 1, 3).reshape(da, -1)
     blocks = (kets[:, None, :] @ half.reshape(-1, da, db * db)).reshape(-1, db, db)
-    probs = blocks.trace(axis1=-2, axis2=-1).real
-    return blocks / np.where(probs > PROB_FLOOR, probs, np.inf)[:, None, None]
+    return blocks / _floored(blocks.trace(axis1=-2, axis2=-1).real)[:, None, None]
 
 
 def _pair_scores(states: np.ndarray) -> np.ndarray:
@@ -600,7 +627,7 @@ def maximize_witness(
     peaks = [(-math.inf, None)] * len(runs)  # each start's first maximum
     results = [None] * len(runs)
     while pending:
-        losses, grads = _refine_loss(rho4, np.stack(list(pending.values())))
+        losses, grads = _refine_loss(rho4, np.array(list(pending.values())))
         for (i, x), f, g in zip(list(pending.items()), losses.tolist(), grads):
             if -f > peaks[i][0]:
                 peaks[i] = (-f, x)

@@ -593,6 +593,20 @@ class TestExitCodes:
         assert out == ""
         assert list(tmp_path.iterdir()) == []
 
+    def test_phases_above_the_ceiling_is_usage_error(self, tmp_path, capsys):
+        """--phases has a ceiling, 2^16, checked before the phase grid is
+        built or any file is read."""
+        missing = str(tmp_path / "missing.json")
+        code, out, err = run(
+            capsys,
+            ["interfere", "--u", "u1", "--state-a", missing, "--state-b", missing,
+             "--fringes-out", str(tmp_path / "f.csv"), "--phases", str(2**16 + 1)],
+        )
+        assert code == 1
+        assert f"error: --phases must be <= {2**16}, got {2**16 + 1}" in err
+        assert out == ""
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize(
         "flag, value", [("--phi", "nan"), ("--phi", "inf"), ("--theta", "-inf")]
     )

@@ -552,6 +552,38 @@ class TestWitnessKernel:
         matrix = (1 - w) * np.kron(np.diag([1.0, 0.0]), sigma) + w * np.kron(np.diag([0.0, 1.0]), tau)
         self.floor_checks(BipartiteState(DensityMatrix(matrix), 2, 2))
 
+    def test_mixed_floor_batch_is_bitwise_each_point_alone(self):
+        """On the state of test_sub_floor_outcomes_score_zero, a batch mixes
+        live pairs with pairs holding |1> or the ket along (1e-17, 1), both
+        below PROB_FLOOR. Two live pairs hold a ket just above the floor,
+        which steers B partly into tau, so they score well above 0. Each
+        point gets the value and gradient bits it gets alone; the sub-floor
+        points score 0 with gradient 0, and nothing warns."""
+        rng = np.random.default_rng(36)
+        w, sigma, tau = 1e-13, ginibre_state(2, 2, rng).matrix, ginibre_state(2, 2, rng).matrix
+        matrix = (1 - w) * np.kron(np.diag([1.0, 0.0]), sigma) + w * np.kron(np.diag([0.0, 1.0]), tau)
+        rho4 = rho4_of(BipartiteState(DensityMatrix(matrix), 2, 2))
+        floor = np.array([[0.0, 1.0], [1e-17, 1.0]], dtype=np.complex128)
+        near = np.array([[[2e-6, 1.0], [1.0, 1.0]], [[1.0, -1.0], [3e-6, 1j]]])
+        live = random_ket_pairs(rng, 2, 3)
+        pairs = np.stack([
+            live[0], [floor[0], live[1, 0]], near[0], [live[2, 1], floor[1]],
+            floor, live[1], [floor[1], floor[0]], near[1], live[2],
+        ])
+        dead = np.array([False, True, False, True, True, False, True, False, False])
+        # The refinement's points are kets of any norm.
+        xs = _ket_params(pairs) * rng.uniform(0.8, 1.25, size=(len(pairs), 1))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            losses, grads = _refine_loss(rho4, xs)
+            alone = [_refine_loss(rho4, x[None]) for x in xs]
+        for f, g, (f1, g1) in zip(losses, grads, alone):
+            assert f1[0].tobytes() == f.tobytes()
+            assert g1[0].tobytes() == g.tobytes()
+        assert np.all(losses[dead] == 0.0) and np.all(grads[dead] == 0.0)
+        assert np.all(losses[[2, 7]] < -1e-6)
+        assert np.all(np.abs(grads[~dead]).max(axis=1) > 0.0)
+
 
 def upper_pairs(n):
     return list(zip(*np.triu_indices(n, 1)))
@@ -816,6 +848,77 @@ class TestMinimize:
         res = correlations.minimize(quadratic, np.zeros(3), maxfev=200, gtol=1e-10)
         assert res.status == 0 and res.nfev < 50
         assert res.x == pytest.approx(center, abs=1e-8)
+
+    @staticmethod
+    def textbook_bfgs(fun, x0, *, maxfev, gtol):
+        """The points BFGS asks for, from Nocedal & Wright (2006): algorithm
+        6.1 with the product-form update (6.17),
+        H+ = (I - r s y^T) H (I - r y s^T) + r s s^T, r = 1 / (s^T y), the
+        first H scaled by (6.20), Armijo halving with c1 = 1e-4, the update
+        skipped when s^T y <= 0, and the stops of correlations._bfgs."""
+        x = np.array(x0, dtype=np.float64)
+        f, g = fun(x)
+        points, h, eye = [x], None, np.eye(len(x))
+        while np.abs(g).max() > gtol:
+            p = -g if h is None else -(h @ g)
+            slope, t = g @ p, 1.0
+            while True:
+                if -t * slope <= 2.0**-52 * (1.0 + abs(f)) or len(points) >= maxfev:
+                    return points
+                x_new = x + t * p
+                f_new, g_new = fun(x_new)
+                points.append(x_new)
+                if f_new <= f + 1e-4 * t * slope:
+                    break
+                t /= 2.0
+            s, y = x_new - x, g_new - g
+            if s @ y > 0.0:
+                if h is None:
+                    h = (s @ y) / (y @ y) * eye
+                r = 1.0 / (s @ y)
+                left = eye - r * np.outer(s, y)
+                h = left @ h @ left.T + r * np.outer(s, s)
+            x, f, g = x_new, f_new, g_new
+        return points
+
+    @staticmethod
+    def double_well(x):
+        value = x[0] ** 4 / 4.0 - x[0] ** 2 / 2.0 + x[1] ** 2 + 0.5 * x[0] * x[1]
+        return value, np.array([x[0] ** 3 - x[0] + 0.5 * x[1], 2.0 * x[1] + 0.5 * x[0]])
+
+    @pytest.mark.parametrize("problem", ["quadratic", "rosenbrock", "double-well"])
+    def test_iterates_match_textbook_bfgs(self, problem):
+        """minimize asks for the points of the textbook update within 1e-12
+        relative: to convergence on a quadratic, over 20 evaluations of
+        Rosenbrock, beyond which the two roundings drift apart (by ~1e-11
+        after 25), and to convergence on a nonconvex double well, whose
+        path from (0.05, -0.2) skips the update (s.y <= 0) and changes with
+        the Armijo constant."""
+        if problem == "quadratic":
+            a = np.array([[3.0, 1.0, 0.0], [1.0, 2.0, 0.5], [0.0, 0.5, 1.0]])
+            center = np.array([1.0, -2.0, 0.5])
+
+            def fun(x):
+                d = x - center
+                return float(d @ a @ d), 2.0 * a @ d
+
+            x0, maxfev = np.array([2.0, 1.0, -1.0]), 200
+        elif problem == "rosenbrock":
+            fun, x0, maxfev = self.rosenbrock, np.array([-1.2, 1.0]), 20
+        else:
+            fun, x0, maxfev = self.double_well, np.array([0.05, -0.2]), 200
+        calls = []
+
+        def record(x):
+            calls.append(x.copy())
+            return fun(x)
+
+        res = correlations.minimize(record, x0, maxfev=maxfev, gtol=1e-10)
+        reference = self.textbook_bfgs(fun, x0, maxfev=maxfev, gtol=1e-10)
+        assert res.status == (1 if problem == "rosenbrock" else 0)
+        assert len(calls) == len(reference) > 10
+        for x, ref in zip(calls, reference):
+            assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
 def sequential_search(rho, config):
