@@ -20,7 +20,8 @@ formatting, so parsing them back loses nothing. Fringe CSV rows are
 
 Exit codes: 0 success, 1 usage error, 2 invalid input data, 3 runtime or
 I/O failure. A flag value out of range is a usage error, found before any
-file is read; this covers `random-state --dim` below 1, `--shots` below 1,
+file is read; this covers a `random-state --dim` outside [1, 2^11] (a
+complex 2^11 x 2^11 matrix is 64 MiB), `--shots` below 1,
 a `--seed` outside [0, 2^64 - 1] (the range of RandomSpec), an
 `interfere --phases` outside [3, 2^16], a `discord --dims` split with
 dim_a below 2 or dim_b below 1 and a non-finite `example --phi` or
@@ -32,6 +33,17 @@ host cannot satisfy is a runtime failure (3), reported on one stderr
 line. Each input file is read once: the digest in the report is of the
 bytes that were parsed. Results for a fixed seed are reproducible run to
 run; only the timing field of the report varies.
+
+Arguments are read on one of two paths, both defined by the flag table
+`_FLAGS`. An argv in the canonical form (the subcommand name, `example`'s
+positional next, then exact flag names each followed by its value, no
+value starting with "-", no flag twice, every required flag given, every
+value of the flag's type and among its choices) is read against the table
+alone. Any other argv (help, `--`, `--flag=value`, abbreviations, negative
+numbers, repeated or stray arguments, and every usage error) goes to
+argparse, to a parser built from the same rows, so its help, usage and
+error bytes are those of the full parser. Both paths give the same
+namespace for any argv the first accepts.
 
 Schema "2": the `discord` results give `best_params` and each trace
 entry's `params` as (Re k1, Im k1, Re k2, Im k2) of the two unit-norm
@@ -48,7 +60,7 @@ import math
 import re
 import sys
 import time
-from typing import Any
+from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
@@ -96,9 +108,11 @@ _INT_FLOORS = {
     "dims": (2, 1), "shots": 1,
 }
 # Largest accepted value of each integer flag that has one: --seed spans
-# RandomSpec's range on every subcommand, and --phases keeps the phase grid
-# small enough to build.
-_INT_CEILINGS = {"phases": 2**16, "seed": 2**64 - 1}
+# RandomSpec's range on every subcommand, and --phases and --dim keep the
+# phase grid and the state small enough to build. random-state at d = 512
+# peaks ~30 MB above the interpreter's start-up, so ~0.5 GB at d = 2^11
+# (scaled by d^2).
+_INT_CEILINGS = {"phases": 2**16, "seed": 2**64 - 1, "dim": 2**11}
 _FINITE_FLOATS = ("phi", "theta")
 
 _NEGATIVE_FLOAT = re.compile(
@@ -233,53 +247,134 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _add_witness_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--state-a", required=True, metavar="F")
-    p.add_argument("--state-b", required=True, metavar="F")
-    p.add_argument("--method", choices=("direct", "trace", "interfere"), default="direct")
-    p.add_argument("--shots", type=int, default=None, metavar="N")
-    p.add_argument("--seed", type=int, default=0, metavar="S")
-    p.add_argument("--out", default=None, metavar="F")
+class _Flag(NamedTuple):
+    """One argument of a subcommand, in the terms of argparse's add_argument;
+    a flag without the leading "-" is a positional."""
+
+    flag: str
+    dest: str
+    type: Callable[[str], Any] | None = None
+    nargs: int | None = None
+    required: bool = False
+    default: Any = None
+    choices: tuple[str, ...] | None = None
+    metavar: str | tuple[str, ...] | None = None
+    help: str | None = None
 
 
-def _add_interfere_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--u", choices=("u1", "u2"), required=True)
-    p.add_argument("--state-a", required=True, metavar="F")
-    p.add_argument("--state-b", required=True, metavar="F")
-    p.add_argument("--phases", type=int, default=8, metavar="K",
-                   help="phases in the fringe scan, 3 to 2^16")
-    p.add_argument("--mode", choices=("exact", "sampled"), default="exact")
-    p.add_argument("--shots", type=int, default=None, metavar="N")
-    p.add_argument("--seed", type=int, default=0, metavar="S")
-    p.add_argument("--fringes-out", required=True, metavar="F")
-    p.add_argument("--out", default=None, metavar="F")
+_STATE_A = _Flag("--state-a", "state_a", required=True, metavar="F")
+_STATE_B = _Flag("--state-b", "state_b", required=True, metavar="F")
+_SHOTS = _Flag("--shots", "shots", int, metavar="N")
+_SEED = _Flag("--seed", "seed", int, default=0, metavar="S")
+_OUT = _Flag("--out", "out", metavar="F")
+_SEARCH_DEFAULTS = OptimizerConfig()
+
+# The grammar: each subcommand's arguments, in usage order. Its argparse
+# parser is built from these rows, and _parse_canonical reads well-formed
+# argv against the same rows.
+_FLAGS: dict[str, tuple[_Flag, ...]] = {
+    "witness": (
+        _STATE_A,
+        _STATE_B,
+        _Flag("--method", "method", default="direct",
+              choices=("direct", "trace", "interfere")),
+        _SHOTS,
+        _SEED,
+        _OUT,
+    ),
+    "interfere": (
+        _Flag("--u", "u", required=True, choices=("u1", "u2")),
+        _STATE_A,
+        _STATE_B,
+        _Flag("--phases", "phases", int, default=8, metavar="K",
+              help="phases in the fringe scan, 3 to 2^16"),
+        _Flag("--mode", "mode", default="exact", choices=("exact", "sampled")),
+        _SHOTS,
+        _SEED,
+        _Flag("--fringes-out", "fringes_out", required=True, metavar="F"),
+        _OUT,
+    ),
+    "discord": (
+        _Flag("--state", "state", required=True, metavar="F"),
+        _Flag("--dims", "dims", int, nargs=2, required=True, metavar=("DA", "DB")),
+        _Flag("--grid", "grid", int, default=_SEARCH_DEFAULTS.grid_points, metavar="G",
+              help="scan points per ket axis; every pair of scan kets is scored"),
+        _Flag("--starts", "starts", int, default=_SEARCH_DEFAULTS.starts, metavar="R"),
+        _Flag("--max-evals", "max_evals", int, default=_SEARCH_DEFAULTS.max_evals,
+              metavar="N", help="total refinement evaluations, split across the starts"),
+        _SEED,
+        _OUT,
+    ),
+    "example": (
+        _Flag("which", "which", choices=("epr", "separable")),
+        _Flag("--phi", "phi", float, required=True, metavar="X"),
+        _Flag("--theta", "theta", float, default=0.0, metavar="Y"),
+        _OUT,
+    ),
+    "random-state": (
+        _Flag("--dim", "dim", int, required=True, metavar="D",
+              help="state dimension, 1 to 2^11"),
+        _Flag("--rank", "rank", int, required=True, metavar="R"),
+        _SEED._replace(required=True, default=None),
+        _OUT._replace(required=True),
+    ),
+}
 
 
-def _add_discord_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--state", required=True, metavar="F")
-    p.add_argument("--dims", type=int, nargs=2, required=True, metavar=("DA", "DB"))
-    defaults = OptimizerConfig()
-    p.add_argument("--grid", type=int, default=defaults.grid_points, metavar="G",
-                   help="scan points per ket axis; every pair of scan kets is scored")
-    p.add_argument("--starts", type=int, default=defaults.starts, metavar="R")
-    p.add_argument("--max-evals", type=int, default=defaults.max_evals, metavar="N",
-                   help="total refinement evaluations, split across the starts")
-    p.add_argument("--seed", type=int, default=0, metavar="S")
-    p.add_argument("--out", default=None, metavar="F")
+def _add_args(p: argparse.ArgumentParser, rows: tuple[_Flag, ...]) -> None:
+    for row in rows:
+        kwargs = row._asdict()
+        del kwargs["flag"]
+        if not row.flag.startswith("-"):  # argparse takes neither for a positional
+            del kwargs["dest"], kwargs["required"]
+        p.add_argument(row.flag, **kwargs)
 
 
-def _add_example_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("which", choices=("epr", "separable"))
-    p.add_argument("--phi", type=float, required=True, metavar="X")
-    p.add_argument("--theta", type=float, default=0.0, metavar="Y")
-    p.add_argument("--out", default=None, metavar="F")
+def _value(row: _Flag, raw: list[str]) -> Any:
+    """What argparse stores for ``row`` given the value tokens ``raw``, or
+    None unless they are its canonical form: the right number of tokens,
+    none starting with "-", each converting by the row's type into one of
+    its choices."""
+    if len(raw) != (row.nargs or 1) or any(v.startswith("-") for v in raw):
+        return None
+    try:
+        values = [row.type(v) for v in raw] if row.type is not None else raw
+    except (TypeError, ValueError):
+        return None
+    if row.choices is not None and any(v not in row.choices for v in values):
+        return None
+    return values if row.nargs else values[0]
 
 
-def _add_random_state_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--dim", type=int, required=True, metavar="D")
-    p.add_argument("--rank", type=int, required=True, metavar="R")
-    p.add_argument("--seed", type=int, required=True, metavar="S")
-    p.add_argument("--out", required=True, metavar="F")
+def _parse_canonical(name: str, tokens: list[str]) -> argparse.Namespace | None:
+    """``name``'s arguments ``tokens`` read against its table rows, as
+    argparse would read them; None unless every token is in the canonical
+    form (the positional first, then exact flag names each followed by its
+    value, no flag twice, every required flag given)."""
+    rows = _FLAGS[name]
+    values: dict[str, Any] = {}
+    i = 0
+    if not rows[0].flag.startswith("-"):
+        values[rows[0].dest] = _value(rows[0], tokens[:1])
+        if values[rows[0].dest] is None:
+            return None
+        i = 1
+    by_flag = {row.flag: row for row in rows[i:]}
+    while i < len(tokens):
+        row = by_flag.get(tokens[i])
+        if row is None or row.dest in values:
+            return None
+        n = row.nargs or 1
+        values[row.dest] = _value(row, tokens[i + 1:i + 1 + n])
+        if values[row.dest] is None:
+            return None
+        i += 1 + n
+    for row in rows:
+        if row.dest not in values:
+            if row.required:
+                return None
+            values[row.dest] = row.default
+    return argparse.Namespace(**values, command=name)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -295,8 +390,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Commutator-based quantumness and quantum-correlation detection.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, add_args, _) in _SUBCOMMANDS.items():
-        add_args(sub.add_parser(name, help=help_text))
+    for name, (help_text, _) in _SUBCOMMANDS.items():
+        _add_args(sub.add_parser(name, help=help_text), _FLAGS[name])
     return parser
 
 
@@ -304,14 +399,19 @@ def _parse_args(argv: list[str]) -> argparse.Namespace:
     """Parse ``argv`` as ``build_parser().parse_args`` does, with the same
     help, errors and exit codes (raised as SystemExit).
 
-    A named subcommand is parsed by its own parser alone; help, no
-    arguments and unknown names go to the full parser.
+    A named subcommand's canonical argv is read against its table rows
+    alone (_parse_canonical); any other is parsed by that subcommand's
+    parser alone. Help, no arguments and unknown names go to the full
+    parser.
     """
     if not argv or argv[0] not in _SUBCOMMANDS:
         return build_parser().parse_args(argv)
     name = argv[0]
+    args = _parse_canonical(name, argv[1:])
+    if args is not None:
+        return args
     parser = _Parser(prog=f"qwitness {name}")
-    _SUBCOMMANDS[name][1](parser)
+    _add_args(parser, _FLAGS[name])
     args, extras = parser.parse_known_args(argv[1:])
     if extras:
         build_parser().error(f"unrecognized arguments: {' '.join(extras)}")
@@ -464,17 +564,13 @@ def _cmd_random_state(args) -> tuple[dict, dict, int | None]:
     return results, {}, args.seed
 
 
-# name -> (help text, argument adder, handler), in usage order.
+# name -> (help text, handler), in usage order.
 _SUBCOMMANDS = {
-    "witness": ("quantumness of two states", _add_witness_args, _cmd_witness),
-    "interfere": (
-        "one swap-cascade interference scan", _add_interfere_args, _cmd_interfere
-    ),
-    "discord": ("optimize the correlation witness", _add_discord_args, _cmd_discord),
-    "example": ("built-in analytic states", _add_example_args, _cmd_example),
-    "random-state": (
-        "reproducible random density matrix", _add_random_state_args, _cmd_random_state
-    ),
+    "witness": ("quantumness of two states", _cmd_witness),
+    "interfere": ("one swap-cascade interference scan", _cmd_interfere),
+    "discord": ("optimize the correlation witness", _cmd_discord),
+    "example": ("built-in analytic states", _cmd_example),
+    "random-state": ("reproducible random density matrix", _cmd_random_state),
 }
 
 
@@ -487,7 +583,7 @@ def dispatch(argv: list[str]) -> int:
     start = time.perf_counter()
     try:
         _check_flag_ranges(args)
-        results, inputs, seed = _SUBCOMMANDS[args.command][2](args)
+        results, inputs, seed = _SUBCOMMANDS[args.command][1](args)
     except _UsageError as exc:
         print(f"qwitness {args.command}: error: {exc}", file=sys.stderr)
         return 1

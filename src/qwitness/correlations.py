@@ -315,11 +315,14 @@ def separable_example_state() -> BipartiteState:
     one = np.array([0.0, 1.0])
     plus = np.array([1.0, 1.0]) / math.sqrt(2.0)
     minus = np.array([1.0, -1.0]) / math.sqrt(2.0)
-    terms = ((zero, plus), (one, minus), (plus, one), (minus, zero))
-    total = np.zeros((4, 4), dtype=np.complex128)
-    for a, b in terms:
-        total += 0.25 * tensor_product(np.outer(a, a.conj()), np.outer(b, b.conj()))
-    return BipartiteState(DensityMatrix(total), 2, 2)
+    kets_a = np.array([zero, one, plus, minus])
+    kets_b = np.array([plus, minus, one, zero])
+    pa = kets_a[:, :, None] * kets_a[:, None, :]
+    pb = kets_b[:, :, None] * kets_b[:, None, :]
+    # The four |a><a| (x) |b><b| as broadcast outer products: the entries of
+    # np.kron, summed in the same order, so the matrix keeps its bits.
+    terms = 0.25 * (pa[:, :, None, :, None] * pb[:, None, :, None, :]).reshape(4, 4, 4)
+    return BipartiteState(DensityMatrix(terms.sum(axis=0)), 2, 2)
 
 
 def build_cq_state(spec: CqSpec) -> BipartiteState:

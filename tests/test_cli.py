@@ -1,15 +1,20 @@
 """End-to-end CLI checks through dispatch(): exit codes, reports, files."""
 
+import contextlib
 import hashlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qwitness.cli as cli
 from qwitness.cli import _parse_args, build_parser, dispatch, load_state, save_state
@@ -593,6 +598,19 @@ class TestExitCodes:
         assert out == ""
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("joined", [False, True], ids=["table", "argparse"])
+    def test_dim_above_the_ceiling_is_usage_error(self, tmp_path, capsys, joined):
+        """--dim has a ceiling, 2^11, checked before any state is drawn, on
+        both parse paths ("--dim=N" is read by argparse)."""
+        dim = ["--dim=2049"] if joined else ["--dim", "2049"]
+        argv = ["random-state", *dim, "--rank", "1", "--seed", "0",
+                "--out", str(tmp_path / "r.json")]
+        assert (cli._parse_canonical(argv[0], argv[1:]) is None) == joined
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (1, "")
+        assert f"error: --dim must be <= {2**11}, got 2049" in err
+        assert list(tmp_path.iterdir()) == []
+
     def test_phases_above_the_ceiling_is_usage_error(self, tmp_path, capsys):
         """--phases has a ceiling, 2^16, checked before the phase grid is
         built or any file is read."""
@@ -724,7 +742,9 @@ class TestExitCodes:
 
         monkeypatch.setattr(cli, "random_density", exhausted)
         path = tmp_path / "r.json"
-        argv = ["random-state", "--dim", "20000", "--rank", "1", "--seed", "1",
+        # The largest --dim accepted; the injected error stands in for a host
+        # that cannot allocate it.
+        argv = ["random-state", "--dim", str(2**11), "--rank", "1", "--seed", "1",
                 "--out", str(path)]
         assert run(capsys, argv) == (3, "", f"qwitness random-state: {message}\n")
         assert not path.exists()
@@ -741,9 +761,30 @@ MINIMAL_ARGV = {
                      "--out", "r.json"],
 }
 
+# The nine commands of a benchmark cli-session round.
+CLI_SESSION_ARGV = [
+    ["random-state", "--dim", "3", "--rank", "2", "--seed", "8147", "--out", "rs.json"],
+    ["witness", "--state-a", "a.json", "--state-b", "b.json", "--method", "direct",
+     "--out", "r_direct.json"],
+    ["witness", "--state-a", "a.json", "--state-b", "b.json", "--method", "trace",
+     "--out", "r_trace.json"],
+    ["witness", "--state-a", "a.json", "--state-b", "b.json", "--method", "interfere",
+     "--shots", "100000", "--seed", "51", "--out", "r_winterf.json"],
+    ["interfere", "--u", "u1", "--state-a", "a.json", "--state-b", "b.json",
+     "--fringes-out", "f_u1.csv", "--out", "r_u1.json"],
+    ["interfere", "--u", "u2", "--state-a", "a.json", "--state-b", "b.json",
+     "--mode", "sampled", "--shots", "100000", "--seed", "7", "--fringes-out", "f_u2.csv",
+     "--out", "r_u2.json"],
+    ["example", "epr", "--phi", "1.2345678901234567", "--out", "r_epr.json"],
+    ["example", "separable", "--phi", "0.1", "--theta", "3.0", "--out", "r_sep.json"],
+    ["discord", "--state", "ab.json", "--dims", "2", "2", "--grid", "4", "--starts", "2",
+     "--max-evals", "200", "--seed", "99", "--out", "r_discord.json"],
+]
+
 # Every argv shape the tests above parse successfully.
 VALID_ARGV = [
     *MINIMAL_ARGV.values(),
+    *CLI_SESSION_ARGV,
     [*MINIMAL_ARGV["witness"], "--method", "trace"],
     [*MINIMAL_ARGV["witness"], "--method", "interfere", "--shots", "400", "--seed", "9"],
     [*MINIMAL_ARGV["witness"], "--out", "r.json", "--shots", "100", "--seed", "-1"],
@@ -765,6 +806,65 @@ VALID_ARGV = [
 ]
 
 
+# Values that are not a flag's canonical form, or only just are: negative,
+# option-like, padded, unicode digits, empty, of another type or stray.
+ODD_VALUES = ["-1", "-1e-3", "-inf", "-h", "--", "-x", "--out", "-", " 2", "2 ", "\u0663",
+              "", "1.5", "nan", "x", "1_0", "epr", "u1"]
+
+
+def canonical_values(row):
+    if row.choices is not None:
+        return list(row.choices)
+    return {int: ["2", "3", "11"], float: ["0.5", "1e-3", "3"]}.get(row.type, ["a.json"])
+
+
+@st.composite
+def argv_variants(draw):
+    """A subcommand's canonical arguments (every required flag, some of the
+    others, in any order after the positional) with none, one or three
+    deviations: an odd value, an abbreviated or "="-joined flag, a flag
+    left out, or an extra "--", help, stray or repeated argument.
+
+    Lists are drawn by index: hypothesis labels a strategy by hashing its
+    elements, which lists make slow."""
+
+    def pick(items):
+        return items[draw(st.integers(0, len(items) - 1))]
+
+    name = pick(sorted(cli._FLAGS))
+    rows = cli._FLAGS[name]
+    keep = draw(st.integers(0, 2 ** len(rows) - 1))  # which optional flags appear
+    parts = []
+    for k, row in enumerate(rows):
+        if row.required or not row.flag.startswith("-") or keep >> k & 1:
+            flag = [row.flag] if row.flag.startswith("-") else []
+            values = [pick(canonical_values(row)) for _ in range(row.nargs or 1)]
+            parts.append([*flag, *values])
+    first = 1 if name == "example" else 0
+    order = draw(st.permutations(range(first, len(parts))))
+    parts[first:] = [parts[i] for i in order]
+    for _ in range(pick([0, 1, 1, 1, 3])):
+        kind = pick(["odd", "odd", "abbreviate", "join", "drop", "extra"])
+        part = pick(parts) if parts else ["stray"]
+        if kind == "odd":  # one of the part's values
+            part[-draw(st.integers(1, max(len(part) - 1, 1)))] = pick(ODD_VALUES)
+        elif kind == "abbreviate" and part[0].startswith("--") and len(part[0]) > 2:
+            part[0] = part[0][:draw(st.integers(2, len(part[0]) - 1))]
+        elif kind == "join" and len(part) > 1:
+            part[:2] = [f"{part[0]}={part[1]}"]
+        elif kind == "drop" and part in parts:
+            parts.remove(part)
+        else:
+            extra = pick([["--"], ["-h"], ["--help"], ["stray"], ["--bogus"], list(part)])
+            parts.insert(draw(st.integers(0, len(parts))), extra)
+    return [name, *(token for part in parts for token in part)]
+
+
+def value_types(args):
+    return {key: (type(value), *map(type, value)) if isinstance(value, list) else type(value)
+            for key, value in vars(args).items()}
+
+
 def full_parse(capsys, argv):
     """The oracle for dispatch's parse: ``build_parser().parse_args(argv)``,
     as (exit code or None, stdout, stderr)."""
@@ -778,8 +878,9 @@ def full_parse(capsys, argv):
 
 
 class TestTrimmedParser:
-    """dispatch builds only the named subcommand's parser; to the user it
-    must look exactly like the full one."""
+    """dispatch reads a canonical argv against the flag table and parses any
+    other with the named subcommand's parser alone; to the user either must
+    look exactly like the full parser."""
 
     @pytest.mark.parametrize(
         "argv",
@@ -814,6 +915,36 @@ class TestTrimmedParser:
     def test_namespace_matches_the_full_parser(self, capsys, argv):
         assert _parse_args(argv) == build_parser().parse_args(argv)
         assert capsys.readouterr() == ("", "")
+
+    @pytest.mark.parametrize("argv", CLI_SESSION_ARGV, ids=lambda argv: " ".join(argv))
+    def test_canonical_argv_takes_the_table_path(self, argv):
+        args = cli._parse_canonical(argv[0], argv[1:])
+        assert args is not None
+        assert value_types(args) == value_types(build_parser().parse_args(argv))
+
+    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @given(argv=argv_variants())
+    def test_table_path_reads_argv_as_argparse_does(self, argv):
+        """Where the table path accepts an argv, argparse accepts it
+        silently into equal values of the same types; dispatch returns an
+        exit code on every variant (no state file exists)."""
+        args = cli._parse_canonical(argv[0], argv[1:])
+        out, err = io.StringIO(), io.StringIO()
+        if args is not None:
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                full = build_parser().parse_args(argv)
+            assert (out.getvalue(), err.getvalue()) == ("", "")
+            assert vars(args) == vars(full)
+            assert value_types(args) == value_types(full)
+        cwd = os.getcwd()
+        with tempfile.TemporaryDirectory() as workdir:
+            os.chdir(workdir)
+            try:
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    code = dispatch(argv)
+            finally:
+                os.chdir(cwd)
+        assert code in (0, 1, 2, 3)
 
 
 def run_fresh(code):
