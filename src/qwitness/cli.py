@@ -28,11 +28,15 @@ dim_a below 2 or dim_b below 1 and a non-finite `example --phi` or
 `--theta`. A `random-state --rank` outside
 [1, --dim] is a data error, as is a state file that is not UTF-8 JSON or
 whose dim or dims is not a JSON integer or whose matrix entries are not
-JSON numbers, or that is nested too deeply to parse. An allocation the
-host cannot satisfy is a runtime failure (3), reported on one stderr
-line. Each input file is read once: the digest in the report is of the
-bytes that were parsed. Results for a fixed seed are reproducible run to
-run; only the timing field of the report varies.
+JSON numbers, or that is nested too deeply to parse. A data error found
+in a state file names that file first: a parse error, a failed state
+check (`trace deviates from 1 by ...`, `operator has NaN/Inf entries`),
+a `dims` split that does not fit its dim, and a `discord --dims` that
+conflicts with it. An allocation the host cannot satisfy is a runtime
+failure (3), reported on one stderr line. Each input file is read once:
+the digest in the report is of the bytes that were parsed. Results for a
+fixed seed are reproducible run to run; only the timing field of the
+report varies.
 
 Arguments are read on one of two paths, both defined by the flag table
 `_FLAGS`. An argv in the canonical form (the subcommand name, `example`'s
@@ -83,7 +87,13 @@ from .interferometer import (
     interferometric_quantumness,
     run_interferometer,
 )
-from .qcore import DensityMatrix, RandomSpec, random_density
+from .qcore import (
+    DensityMatrix,
+    LayoutError,
+    RandomSpec,
+    StateValidationError,
+    random_density,
+)
 from .witness import quantumness
 
 __all__ = [
@@ -110,7 +120,7 @@ _INT_FLOORS = {
 # Largest accepted value of each integer flag that has one: --seed spans
 # RandomSpec's range on every subcommand, and --phases and --dim keep the
 # phase grid and the state small enough to build. random-state at d = 512
-# peaks ~30 MB above the interpreter's start-up, so ~0.5 GB at d = 2^11
+# peaks ~33 MB above the interpreter's start-up, so ~0.55 GB at d = 2^11
 # (scaled by d^2).
 _INT_CEILINGS = {"phases": 2**16, "seed": 2**64 - 1, "dim": 2**11}
 _FINITE_FLOATS = ("phi", "theta")
@@ -158,14 +168,27 @@ def load_state(
     # A finite matrix whose M + M^dag overflows is rejected by the check
     # itself; numpy's overflow warnings would only repeat it on stderr.
     with np.errstate(over="ignore", invalid="ignore"):
-        state = DensityMatrix(re + 1j * im)
+        try:
+            state = DensityMatrix(re + 1j * im)
+        except StateValidationError as exc:
+            raise StateValidationError(
+                exc.check, exc.magnitude, f"{path}: {exc}"
+            ) from None
     if "dims" in doc:
         dims = doc["dims"]
         if not (isinstance(dims, list) and len(dims) == 2):
             raise ValueError(f"{path}: dims must be a two-element list")
         da, db = (_json_int(path, f"dims[{i}]", d) for i, d in enumerate(dims))
-        return BipartiteState(state, da, db)
+        return _split(path, state, da, db)
     return state
+
+
+def _split(path: str, state: DensityMatrix, da: int, db: int) -> BipartiteState:
+    """``state`` split as ``da x db``; a split that does not fit names ``path``."""
+    try:
+        return BipartiteState(state, da, db)
+    except LayoutError as exc:
+        raise LayoutError(f"{path}: {exc}") from None
 
 
 def _read(path: str) -> bytes:
@@ -208,18 +231,26 @@ def _json_matrix(path: str, key: str, value: Any) -> np.ndarray:
 def save_state(
     state: DensityMatrix, path: str, dims: tuple[int, int] | None = None
 ) -> None:
-    """Write a state file; entries survive a load round trip bit-exactly."""
+    """Write a state file; every entry loads back to an equal value (a zero
+    may come back with the other sign: ``load_state`` forms ``re + 1j * im``).
+
+    The text is that of ``json.dump`` with ``indent=2`` and a final newline,
+    written row by row so that a large state streams: every entry is a
+    finite float, which json also writes with ``float.__repr__``.
+    """
     m = state.matrix
-    doc: dict[str, Any] = {
-        "dim": state.dim,
-        "re": m.real.tolist(),
-        "im": m.imag.tolist(),
-    }
-    if dims is not None:
-        doc["dims"] = [int(dims[0]), int(dims[1])]
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+        fh.write(f'{{\n  "dim": {state.dim}')
+        for key, part in (("re", m.real), ("im", m.imag)):
+            fh.write(f',\n  "{key}": [\n')
+            sep = "    [\n      "
+            for row in part:
+                fh.write(sep + ",\n      ".join(map(float.__repr__, row.tolist())))
+                sep = "\n    ],\n    [\n      "
+            fh.write("\n    ]\n  ]")
+        if dims is not None:
+            fh.write(f',\n  "dims": [\n    {int(dims[0])},\n    {int(dims[1])}\n  ]')
+        fh.write("\n}\n")
 
 
 def write_fringes(fringes, path: str) -> None:
@@ -507,12 +538,12 @@ def _cmd_discord(args) -> tuple[dict, dict, int | None]:
     if isinstance(loaded, BipartiteState):
         if (loaded.dim_a, loaded.dim_b) != (da, db):
             raise ValueError(
-                f"--dims {da} {db} conflicts with file dims "
+                f"{args.state}: --dims {da} {db} conflicts with file dims "
                 f"{loaded.dim_a} {loaded.dim_b}"
             )
         state = loaded
     else:
-        state = BipartiteState(loaded, da, db)
+        state = _split(args.state, loaded, da, db)
     inputs = {"state": digest}
     config = OptimizerConfig(
         grid_points=args.grid,

@@ -27,7 +27,6 @@ of a discord-style detector.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -37,6 +36,7 @@ from .qcore import (
     ATOL_STRUCT,
     DensityMatrix,
     LayoutError,
+    _identity,
     _psd_margins,
     as_operator,
     pure_state,
@@ -436,13 +436,6 @@ def _floored(probs: np.ndarray) -> np.ndarray:
 # Signs that turn the stacked commutators [s_j, C^dag], j the other ket of
 # each pair, into G1 = [s2, C^dag] and G2 = [C^dag, s1].
 _COMMUTATOR_SIGNS = np.array([1.0, -1.0])[:, None, None]
-
-
-@functools.cache
-def _identity(dim: int) -> np.ndarray:
-    eye = np.eye(dim)
-    eye.setflags(write=False)
-    return eye
 
 
 def _witness_kernel(rho4: np.ndarray, kets: np.ndarray):

@@ -13,7 +13,10 @@ which gives the outcome-0 probability
 The fringe visibility v and phase alpha defined by Tr(U rho) = v e^{i alpha}
 are recovered from a phase scan by linear least squares. Gate order and the
 sign of the phase gate are a convention of this module; any variant differing
-by phi -> -phi or a constant offset changes alpha, never v.
+by phi -> -phi or a constant offset changes alpha, never v. Phases must be
+finite: :class:`InterferometerSpec` and :class:`FringeData` reject a NaN or
+infinite phase, and :class:`FringeData` a NaN probability or one outside
+[0, 1], so no such value reaches the fit.
 
 Two cascades of pairwise swaps turn this interference pattern into the
 trace functionals behind the quantumness measure: on the four-copy register
@@ -34,6 +37,7 @@ available as a test oracle via :meth:`PermutationUnitary.matrix`.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -242,6 +246,8 @@ class InterferometerSpec:
                 raise LayoutError(f"input {k} has dim {state.dim}, layout expects {d}")
         if len(self.phases) == 0:
             raise ValueError("phase list is empty")
+        if not all(math.isfinite(p) for p in self.phases):
+            raise ValueError("phases must be finite")
         if _distinct_circle_points(self.phases) < 3:
             raise ValueError("need at least 3 distinct phases (mod 2 pi) for the fit")
         if self.mode not in ("exact", "sampled"):
@@ -271,7 +277,10 @@ class FringeData:
         shots = np.asarray(self.shots, dtype=np.int64)
         if not (phases.shape == p0.shape == shots.shape) or phases.ndim != 1:
             raise ValueError("phases, p0 and shots must be 1-d arrays of equal length")
-        if np.any(p0 < 0.0) or np.any(p0 > 1.0):
+        if not np.isfinite(phases).all():
+            raise ValueError("fringe phases must be finite")
+        # Written so that NaN, which compares False both ways, fails it.
+        if not ((p0 >= 0.0) & (p0 <= 1.0)).all():
             raise ValueError("fringe probabilities must lie in [0, 1]")
         for name, arr in (("phases", phases), ("p0", p0), ("shots", shots)):
             arr.setflags(write=False)

@@ -21,6 +21,7 @@ Conventions
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -28,7 +29,9 @@ import numpy as np
 
 ATOL_STRUCT = 1e-10
 ATOL_EXACT = 1e-12
-_UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2.0
+# 2^-53 as a Python float: the bound's scalar arithmetic then skips numpy's
+# scalar overhead and rounds exactly as float64 did.
+_UNIT_ROUNDOFF = float(np.finfo(np.float64).eps / 2.0)
 
 __all__ = [
     "ATOL_STRUCT",
@@ -93,9 +96,29 @@ def dagger(m: np.ndarray) -> np.ndarray:
     return m.conj().T
 
 
-def _herm_dev(m: np.ndarray) -> float:
-    """``max |M - M^dag|``: how far ``m`` is from Hermitian."""
-    return float(np.abs(m - dagger(m)).max())
+@functools.cache
+def _identity(dim: int) -> np.ndarray:
+    """The real ``dim x dim`` identity, read-only, built once per dimension."""
+    eye = np.eye(dim)
+    eye.setflags(write=False)
+    return eye
+
+
+@functools.cache
+def _cholesky_shift(dim: int) -> np.ndarray:
+    """``(ATOL_STRUCT / 2) I``, complex and read-only, built once per
+    dimension: adding it to ``S`` costs a fraction of a strided write to
+    the diagonal, and gives the same factor up to the sign of zeros."""
+    shift = np.eye(dim, dtype=np.complex128)
+    shift *= ATOL_STRUCT / 2.0
+    shift.setflags(write=False)
+    return shift
+
+
+def _herm_dev(m: np.ndarray, m_dag: np.ndarray) -> float:
+    """``max |M - M^dag|``: how far ``m`` is from Hermitian, given
+    ``m_dag = dagger(m)``."""
+    return float(np.abs(m - m_dag).max())
 
 
 def _sym_spectrum(m: np.ndarray) -> np.ndarray:
@@ -125,12 +148,13 @@ def _psd_margins(m: np.ndarray) -> tuple[float, float | None]:
     A finite ``m`` whose ``M + M^dag`` overflows has no eigenvalues to
     measure: it raises :class:`StateValidationError` (``"finiteness"``).
     """
-    herm_dev = _herm_dev(m)
+    m_dag = dagger(m)
+    herm_dev = _herm_dev(m, m_dag)
     d = m.shape[0]
     shift = ATOL_STRUCT / 2.0
-    a = m + dagger(m)
+    a = m + m_dag
     a *= 0.5  # S, bitwise equal to (M + M^dag) / 2
-    a.flat[:: d + 1] += shift
+    a += _cholesky_shift(d)
     try:
         r = np.linalg.cholesky(a)
     except np.linalg.LinAlgError:

@@ -40,7 +40,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qcore import ATOL_STRUCT, DensityMatrix, LayoutError, _herm_dev, _matrix_of, commutator_hs
+from .qcore import (
+    ATOL_STRUCT,
+    DensityMatrix,
+    LayoutError,
+    _herm_dev,
+    _matrix_of,
+    commutator_hs,
+    dagger,
+)
 
 __all__ = [
     "WitnessResult",
@@ -100,7 +108,7 @@ class ProbePair:
         a = _matrix_of(self.a)
         b = _matrix_of(self.b)
         for name, m in (("a", a), ("b", b)):
-            dev = _herm_dev(m)
+            dev = _herm_dev(m, dagger(m))
             if dev > ATOL_STRUCT:
                 raise ValueError(f"probe {name} is not Hermitian: max dev {dev:.3e}")
         if a.shape != b.shape:
@@ -144,7 +152,7 @@ def quantumness(rho_a: DensityMatrix, rho_b: DensityMatrix,
     ab, ba = ma @ mb, mb @ ma
     v1, v2 = (float(t) for t in _trace_terms(ab, ba))
     if method == "direct_norm":
-        q = 2.0 * float(np.sum(np.abs(ab - ba) ** 2))
+        q = 2.0 * float((np.abs(ab - ba) ** 2).sum())
     else:
         q = 4.0 * (v1 - v2)
     return WitnessResult(q_value=q, v1_term=v1, v2_term=v2, method=method)

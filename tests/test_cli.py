@@ -22,6 +22,7 @@ from qwitness.correlations import BipartiteState, epr_state
 from qwitness.qcore import (
     DensityMatrix,
     RandomSpec,
+    StateValidationError,
     ginibre_state,
     pure_state,
     random_density,
@@ -62,6 +63,30 @@ class TestStateIO:
         back = load_state(path)
         assert isinstance(back, BipartiteState)
         assert (back.dim_a, back.dim_b) == (2, 2)
+
+    @pytest.mark.parametrize("split", [False, True], ids=["plain", "dims"])
+    @pytest.mark.parametrize("d", [1, 2, 3, 17])
+    def test_file_is_json_dump_with_indent(self, tmp_path, d, split):
+        # save_state writes the text itself; it must stay json.dump's, with
+        # signed zeros and subnormals written as json writes them.
+        g = ginibre_state(d, d, np.random.default_rng([41, d])).matrix
+        m = 0.1 * g + 0.9 * np.eye(d) / d
+        m[0, 0] = complex(m[0, 0].real, -0.0)
+        if d > 1:
+            m[0, 1], m[1, 0] = complex(-0.0, 5e-324), complex(-0.0, -5e-324)
+        state = DensityMatrix(m)
+        assert np.signbit(state.matrix[0, 0].imag)
+        dims = (1, d) if split else None
+        path = tmp_path / "s.json"
+        save_state(state, str(path), dims=dims)
+        doc = {"dim": d, "re": state.matrix.real.tolist(), "im": state.matrix.imag.tolist()}
+        if split:
+            doc["dims"] = [1, d]
+        expected = io.StringIO()
+        json.dump(doc, expected, indent=2)
+        assert path.read_bytes() == (expected.getvalue() + "\n").encode("utf-8")
+        back = load_state(str(path))
+        np.testing.assert_array_equal((back.state if split else back).matrix, state.matrix)
 
     def test_missing_key_is_flagged(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -434,7 +459,7 @@ class TestDiscordCommand:
             capsys, ["discord", "--state", path, "--dims", "4", "1"]
         )
         assert code == 2
-        assert "conflicts" in err
+        assert err.startswith(f"qwitness discord: invalid input: {path}: --dims 4 1 conflicts")
 
     def test_dims_product_mismatch_is_data_error(self, tmp_path, capsys):
         path = state_path(tmp_path, "epr.json", epr_state().state)
@@ -442,7 +467,10 @@ class TestDiscordCommand:
             capsys, ["discord", "--state", path, "--dims", "2", "3"]
         )
         assert code == 2
-        assert "does not match" in err
+        assert err == (
+            f"qwitness discord: invalid input: {path}: "
+            "dim_a * dim_b = 6 does not match total dim 4\n"
+        )
 
 
 class TestExampleCommand:
@@ -690,9 +718,42 @@ class TestExitCodes:
         code, _, err = run(capsys, ["witness", "--state-a", str(bad), "--state-b", b])
         assert code == 2
         assert err == (
-            "qwitness witness: invalid input: matrix is not finite once "
+            f"qwitness witness: invalid input: {bad}: matrix is not finite once "
             "symmetrized: (M + M^dag) / 2 overflows\n"
         )
+
+    # A state check that fails names the file it read, as the parse errors do,
+    # and keeps the check's name and magnitude.
+    BAD_STATES = {
+        "trace": ([[1.2, 0.0], [0.0, 0.0]], "trace", 0.2,
+                  "trace deviates from 1 by 2.000e-01"),
+        "nan": ([[math.nan, 0.0], [0.0, 0.0]], "finiteness", math.inf,
+                "operator has NaN/Inf entries"),
+    }
+
+    @pytest.mark.parametrize("kind", sorted(BAD_STATES))
+    def test_failed_state_check_names_the_file(self, tmp_path, capsys, kind):
+        real, check, magnitude, message = self.BAD_STATES[kind]
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"dim": 2, "re": real, "im": [[0.0] * 2] * 2}))
+        with pytest.raises(StateValidationError) as info:
+            load_state(str(bad))
+        assert (info.value.check, str(info.value)) == (check, f"{bad}: {message}")
+        assert info.value.magnitude == pytest.approx(magnitude)
+        a = state_path(tmp_path, "a.json", PLUS)
+        code, _, err = run(capsys, ["witness", "--state-a", a, "--state-b", str(bad)])
+        assert (code, err) == (2, f"qwitness witness: invalid input: {bad}: {message}\n")
+        code, _, err = run(capsys, ["discord", "--state", str(bad), "--dims", "2", "1"])
+        assert (code, err) == (2, f"qwitness discord: invalid input: {bad}: {message}\n")
+
+    def test_split_that_does_not_fit_names_the_file(self, tmp_path, capsys):
+        bad = state_path(tmp_path, "bad.json", epr_state().state, dims=(2, 3))
+        message = "dim_a * dim_b = 6 does not match total dim 4"
+        a = state_path(tmp_path, "a.json", PLUS)
+        code, _, err = run(capsys, ["witness", "--state-a", a, "--state-b", bad])
+        assert (code, err) == (2, f"qwitness witness: invalid input: {bad}: {message}\n")
+        code, _, err = run(capsys, ["discord", "--state", bad, "--dims", "2", "3"])
+        assert (code, err) == (2, f"qwitness discord: invalid input: {bad}: {message}\n")
 
     def test_missing_state_file_is_io_error(self, tmp_path, capsys):
         b = state_path(tmp_path, "b.json", PLUS)

@@ -1,6 +1,7 @@
 """Permutation unitaries, cycle-trace expectations, fringe simulation and fits."""
 
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -221,6 +222,15 @@ class TestInterferometerSpec:
                 build_u1(Q4), self._inputs(), (0.0, 1.0, 2.0 * np.pi)
             )
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_phase_rejected(self, bad, capfd):
+        # Rejected before the distinct-phase count, whose np.mod warns on inf.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="phases must be finite"):
+                InterferometerSpec(build_u1(Q4), self._inputs(), (0.0, 1.0, 2.0, bad))
+        assert capfd.readouterr() == ("", "")
+
     def test_sampled_needs_shots(self):
         with pytest.raises(ValueError, match="shots"):
             InterferometerSpec(
@@ -305,6 +315,24 @@ class TestFringeData:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
             FringeData(np.array([0.0, 1.0]), np.array([0.5]), np.zeros(1, np.int64))
+
+    @pytest.mark.parametrize(
+        "phases, p0, message",
+        [
+            ([0.0, 1.0, 2.0, np.nan], [0.5] * 4, "fringe phases must be finite"),
+            ([0.0, 1.0, 2.0, np.inf], [0.5] * 4, "fringe phases must be finite"),
+            ([0.0, 1.0, 2.0, 3.0], [0.5, np.nan, 0.5, 0.5], r"\[0, 1\]"),
+        ],
+        ids=["nan-phase", "inf-phase", "nan-p0"],
+    )
+    def test_non_finite_values_rejected(self, phases, p0, message, capfd):
+        # A NaN p0 used to reach extract_visibility, where LAPACK printed
+        # to stderr and the fit raised LinAlgError.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=message):
+                FringeData(np.array(phases), np.array(p0), np.zeros(4, dtype=np.int64))
+        assert capfd.readouterr() == ("", "")
 
 
 class TestExtractVisibility:

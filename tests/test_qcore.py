@@ -1,5 +1,7 @@
 """Core operator layer: validation, tensor algebra, partial trace, randomness."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -90,6 +92,24 @@ class TestValidateDensity:
             assert exc.magnitude == pytest.approx(-0.3, abs=1e-12)
         else:
             pytest.fail("expected StateValidationError")
+
+
+@pytest.mark.parametrize("cls", [DensityMatrix, PovmElement], ids=lambda c: c.__name__)
+@pytest.mark.parametrize("where", [(0, 0), (0, 1)], ids=["diagonal", "off-diagonal"])
+@pytest.mark.parametrize(
+    "value", [np.nan, np.inf, complex(0.0, np.inf)], ids=["nan", "inf", "imag-inf"]
+)
+def test_non_finite_entry_fails_the_finiteness_check_first(cls, where, value):
+    # Finiteness is checked before M - M^dag or M + M^dag is formed: either
+    # warns "invalid value" on an infinite diagonal entry.
+    m = np.eye(2, dtype=complex) / 2.0
+    m[where] = value
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(StateValidationError) as info:
+            cls(m)
+    assert str(info.value) == "operator has NaN/Inf entries"
+    assert (info.value.check, info.value.magnitude) == ("finiteness", np.inf)
 
 
 def _skewed(c):
