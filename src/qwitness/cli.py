@@ -21,14 +21,14 @@ formatting, so parsing them back loses nothing. Fringe CSV rows are
 Exit codes: 0 success, 1 usage error, 2 invalid input data, 3 runtime or
 I/O failure. A flag value out of range is a usage error, found before any
 file is read; this covers a `random-state --dim` outside [1, 2^11] (a
-complex 2^11 x 2^11 matrix is 64 MiB), `--shots` below 1,
-a `--seed` outside [0, 2^64 - 1] (the range of RandomSpec), an
-`interfere --phases` outside [3, 2^16], a `discord --dims` split with
-dim_a below 2 or dim_b below 1 and a non-finite `example --phi` or
-`--theta`. A `random-state --rank` outside
-[1, --dim] is a data error, as is a state file that is not UTF-8 JSON or
-whose dim or dims is not a JSON integer or whose matrix entries are not
-JSON numbers, or that is nested too deeply to parse. A data error found
+complex 2^11 x 2^11 matrix is 64 MiB), `--shots` outside [1, 2^63 - 1]
+(numpy's binomial draw takes an int64 count), a `--seed` outside
+[0, 2^64 - 1] (the range of RandomSpec), an `interfere --phases` outside
+[3, 2^16], a `discord --dims` split with dim_a below 2 or dim_b below 1
+and a non-finite `example --phi` or `--theta`. A `random-state --rank`
+outside [1, --dim] is a data error, as is a state file that is not UTF-8
+JSON or whose dim or dims is not a JSON integer or whose matrix entries
+are not JSON numbers, or that is nested too deeply to parse. A data error found
 in a state file names that file first: a parse error, a failed state
 check (`trace deviates from 1 by ...`, `operator has NaN/Inf entries`),
 a `dims` split that does not fit its dim, and a `discord --dims` that
@@ -44,9 +44,8 @@ positional next, then exact flag names each followed by its value, no
 value starting with "-", no flag twice, every required flag given, every
 value of the flag's type and among its choices) is read against the table
 alone. Any other argv (help, `--`, `--flag=value`, abbreviations, negative
-numbers, repeated or stray arguments, and every usage error) goes to
-argparse, to a parser built from the same rows, so its help, usage and
-error bytes are those of the full parser. Both paths give the same
+numbers, repeated or stray arguments, and every usage error) goes to the
+full argparse parser built from the same rows. Both paths give the same
 namespace for any argv the first accepts.
 
 Schema "2": the `discord` results give `best_params` and each trace
@@ -118,11 +117,12 @@ _INT_FLOORS = {
     "dims": (2, 1), "shots": 1,
 }
 # Largest accepted value of each integer flag that has one: --seed spans
-# RandomSpec's range on every subcommand, and --phases and --dim keep the
+# RandomSpec's range on every subcommand, --shots is the largest count
+# numpy's binomial draw takes (an int64), and --phases and --dim keep the
 # phase grid and the state small enough to build. random-state at d = 512
 # peaks ~33 MB above the interpreter's start-up, so ~0.55 GB at d = 2^11
 # (scaled by d^2).
-_INT_CEILINGS = {"phases": 2**16, "seed": 2**64 - 1, "dim": 2**11}
+_INT_CEILINGS = {"phases": 2**16, "seed": 2**64 - 1, "shots": 2**63 - 1, "dim": 2**11}
 _FINITE_FLOATS = ("phi", "theta")
 
 _NEGATIVE_FLOAT = re.compile(
@@ -169,7 +169,9 @@ def load_state(
     # itself; numpy's overflow warnings would only repeat it on stderr.
     with np.errstate(over="ignore", invalid="ignore"):
         try:
-            state = DensityMatrix(re + 1j * im)
+            matrix = np.empty((dim, dim), dtype=np.complex128)
+            matrix.real, matrix.imag = re, im  # keeps the sign of every zero
+            state = DensityMatrix(matrix)
         except StateValidationError as exc:
             raise StateValidationError(
                 exc.check, exc.magnitude, f"{path}: {exc}"
@@ -231,8 +233,7 @@ def _json_matrix(path: str, key: str, value: Any) -> np.ndarray:
 def save_state(
     state: DensityMatrix, path: str, dims: tuple[int, int] | None = None
 ) -> None:
-    """Write a state file; every entry loads back to an equal value (a zero
-    may come back with the other sign: ``load_state`` forms ``re + 1j * im``).
+    """Write a state file; ``load_state`` reads every entry back bit for bit.
 
     The text is that of ``json.dump`` with ``indent=2`` and a final newline,
     written row by row so that a large state streams: every entry is a
@@ -409,13 +410,9 @@ def _parse_canonical(name: str, tokens: list[str]) -> argparse.Namespace | None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """The full ``qwitness`` parser, with all five subcommands.
-
-    dispatch parses a named subcommand with that subcommand's parser
-    alone, which prints the same help and errors. It uses this parser for
-    help, no arguments and unknown names, and to report the arguments a
-    subcommand leaves unparsed, as the nested parse would.
-    """
+    """The ``qwitness`` parser, with all five subcommands built from the
+    flag table; dispatch parses with it every argv the table path does not
+    read."""
     parser = _Parser(
         prog="qwitness",
         description="Commutator-based quantumness and quantum-correlation detection.",
@@ -428,26 +425,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _parse_args(argv: list[str]) -> argparse.Namespace:
     """Parse ``argv`` as ``build_parser().parse_args`` does, with the same
-    help, errors and exit codes (raised as SystemExit).
-
-    A named subcommand's canonical argv is read against its table rows
-    alone (_parse_canonical); any other is parsed by that subcommand's
-    parser alone. Help, no arguments and unknown names go to the full
-    parser.
-    """
-    if not argv or argv[0] not in _SUBCOMMANDS:
-        return build_parser().parse_args(argv)
-    name = argv[0]
-    args = _parse_canonical(name, argv[1:])
-    if args is not None:
-        return args
-    parser = _Parser(prog=f"qwitness {name}")
-    _add_args(parser, _FLAGS[name])
-    args, extras = parser.parse_known_args(argv[1:])
-    if extras:
-        build_parser().error(f"unrecognized arguments: {' '.join(extras)}")
-    args.command = name
-    return args
+    help, errors and exit codes (raised as SystemExit): a named
+    subcommand's canonical argv is read against its table rows alone
+    (_parse_canonical), and any other argv goes to the full parser."""
+    if argv and argv[0] in _SUBCOMMANDS:
+        args = _parse_canonical(argv[0], argv[1:])
+        if args is not None:
+            return args
+    return build_parser().parse_args(argv)
 
 
 def _load_single(path: str) -> tuple[DensityMatrix, dict[str, str]]:

@@ -231,6 +231,8 @@ class OptimizerConfig:
     def __post_init__(self):
         if self.grid_points < 2 or self.starts < 1 or self.max_evals < 1:
             raise ValueError("grid_points >= 2, starts >= 1, max_evals >= 1 required")
+        if not 0 <= int(self.seed) < 2**64:
+            raise ValueError("seed must be a 64-bit unsigned integer")
 
 
 @dataclass(frozen=True, eq=False)
@@ -473,26 +475,24 @@ def _witness_kernel(rho4: np.ndarray, kets: np.ndarray):
 
 def _ket_params(kets: np.ndarray) -> np.ndarray:
     """Rows (Re k1, Im k1, Re k2, Im k2) of ket pairs (..., 2, dim_a)."""
-    return np.stack((kets.real, kets.imag), axis=-2).reshape(kets.shape[:-2] + (-1,))
+    parts = np.empty(kets.shape[:-1] + (2,) + kets.shape[-1:])
+    parts[..., 0, :], parts[..., 1, :] = kets.real, kets.imag
+    return parts.reshape(kets.shape[:-2] + (-1,))
 
 
 def _param_kets(x: np.ndarray) -> np.ndarray:
     """Ket pairs (..., 2, dim_a) of rows (Re k1, Im k1, Re k2, Im k2)."""
     parts = x.reshape(x.shape[:-1] + (2, 2, -1))
-    return parts[..., 0, :] + 1j * parts[..., 1, :]
+    kets = np.empty(parts[..., 0, :].shape, dtype=np.complex128)
+    kets.real, kets.imag = parts[..., 0, :], parts[..., 1, :]
+    return kets
 
 
 def _refine_loss(rho4: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """-Q and its gradient at the points x (n, 4 dim_a) of :func:`_ket_params`."""
-    parts = x.reshape(len(x), 2, 2, -1)
-    kets = np.empty(parts[:, :, 0].shape, dtype=np.complex128)
-    kets.real, kets.imag = parts[:, :, 0], parts[:, :, 1]
-    q, dq = _witness_kernel(rho4, kets)
-    grads = np.empty_like(x)
-    rows = grads.reshape(parts.shape)
-    np.negative(dq.real, out=rows[:, :, 0])
-    np.negative(dq.imag, out=rows[:, :, 1])
-    return np.negative(q, out=q), grads
+    q, dq = _witness_kernel(rho4, _param_kets(x))
+    grads = _ket_params(dq)
+    return np.negative(q, out=q), np.negative(grads, out=grads)
 
 
 # Scan pairs per tile, times dim_b^2: each (pairs, dim_b, dim_b) complex

@@ -56,7 +56,7 @@ class TestStateIO:
         state = ginibre_state(3, 2, rng)
         path = state_path(tmp_path, "s.json", state)
         back = load_state(path)
-        np.testing.assert_array_equal(back.matrix, state.matrix)
+        assert back.matrix.tobytes() == state.matrix.tobytes()
 
     def test_round_trip_with_dims(self, tmp_path):
         path = state_path(tmp_path, "b.json", epr_state().state, dims=(2, 2))
@@ -86,7 +86,7 @@ class TestStateIO:
         json.dump(doc, expected, indent=2)
         assert path.read_bytes() == (expected.getvalue() + "\n").encode("utf-8")
         back = load_state(str(path))
-        np.testing.assert_array_equal((back.state if split else back).matrix, state.matrix)
+        assert (back.state if split else back).matrix.tobytes() == state.matrix.tobytes()
 
     def test_missing_key_is_flagged(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -639,6 +639,25 @@ class TestExitCodes:
         assert f"error: --dim must be <= {2**11}, got 2049" in err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("joined", [False, True], ids=["table", "argparse"])
+    @pytest.mark.parametrize("command", ["witness", "interfere"])
+    def test_shots_above_the_ceiling_is_usage_error(self, tmp_path, capsys, command, joined):
+        """--shots has a ceiling, 2^63 - 1 (numpy's binomial draw takes an
+        int64 count), checked before any file is read, on both parse paths."""
+        missing = str(tmp_path / "missing.json")
+        shots = [f"--shots={2**63}"] if joined else ["--shots", str(2**63)]
+        argv = {
+            "witness": ["witness", "--method", "interfere"],
+            "interfere": ["interfere", "--u", "u1", "--mode", "sampled",
+                          "--fringes-out", str(tmp_path / "f.csv")],
+        }[command]
+        argv += ["--state-a", missing, "--state-b", missing, *shots]
+        assert (cli._parse_canonical(argv[0], argv[1:]) is None) == joined
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (1, "")
+        assert err == f"qwitness {command}: error: --shots must be <= {2**63 - 1}, got {2**63}\n"
+        assert list(tmp_path.iterdir()) == []
+
     def test_phases_above_the_ceiling_is_usage_error(self, tmp_path, capsys):
         """--phases has a ceiling, 2^16, checked before the phase grid is
         built or any file is read."""
@@ -940,8 +959,8 @@ def full_parse(capsys, argv):
 
 class TestTrimmedParser:
     """dispatch reads a canonical argv against the flag table and parses any
-    other with the named subcommand's parser alone; to the user either must
-    look exactly like the full parser."""
+    other with the full parser; to the user the table path must look exactly
+    like the full parser."""
 
     @pytest.mark.parametrize(
         "argv",

@@ -109,6 +109,10 @@ class TestTypes:
             OptimizerConfig(grid_points=1)
         with pytest.raises(ValueError):
             OptimizerConfig(starts=0)
+        for seed in (-1, 2**64):
+            with pytest.raises(ValueError, match="seed must be a 64-bit unsigned integer"):
+                OptimizerConfig(seed=seed)
+        assert OptimizerConfig(seed=2**64 - 1).seed == 2**64 - 1
 
     def test_discord_report_verdict_at_the_threshold(self):
         def report(best_q):
