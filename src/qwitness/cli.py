@@ -14,8 +14,9 @@ with the real and imaginary parts as separate real arrays; an optional
 "dims": [dim_a, dim_b] marks a bipartite split. Reports are single JSON
 documents (UTF-8, newline-terminated) carrying a schema version, the
 subcommand, sha256 digests of the input files, the numeric results, the
-seed and the wall-clock duration; results use shortest round-trip float
-formatting, so parsing them back loses nothing. Fringe CSV rows are
+seed and the wall-clock duration, in the text of json.dumps with
+indent=2 (written by _indented_json); results use shortest round-trip
+float formatting, so parsing them back loses nothing. Fringe CSV rows are
 `phase_rad,p0,shots` with shots 0 marking exact values.
 
 Exit codes: 0 success, 1 usage error, 2 invalid input data, 3 runtime or
@@ -252,6 +253,48 @@ def save_state(
         if dims is not None:
             fh.write(f',\n  "dims": [\n    {int(dims[0])},\n    {int(dims[1])}\n  ]')
         fh.write("\n}\n")
+
+
+_json_str = json.encoder.encode_basestring_ascii  # json's own string token
+
+
+def _indented_json(value: Any, pad: str = "\n") -> str:
+    """``json.dumps(value, indent=2)``, ``pad`` being the newline and indent
+    of the line ``value`` starts on.
+
+    ``indent`` makes json use its pure-Python encoder, several times slower
+    than this on a report. The layout and every token are json's: strings
+    by its ASCII escaper, ints by ``int.__repr__`` (bool tested first) and
+    finite floats, subclasses too, by ``float.__repr__``. Anything else
+    (NaN, the infinities, tuples, dicts with other than string keys, and
+    the types json refuses) is json's own text, indented to ``pad``.
+    """
+    if isinstance(value, str):
+        return _json_str(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float) and math.isfinite(value):
+        return float.__repr__(value)
+    inner = pad + "  "
+    if isinstance(value, list):
+        if not value:
+            return "[]"
+        items = ("," + inner).join(_indented_json(v, inner) for v in value)
+        return f"[{inner}{items}{pad}]"
+    if isinstance(value, dict) and all(isinstance(k, str) for k in value):
+        if not value:
+            return "{}"
+        items = ("," + inner).join(
+            f"{_json_str(k)}: {_indented_json(v, inner)}" for k, v in value.items()
+        )
+        return f"{{{inner}{items}{pad}}}"
+    return json.dumps(value, indent=2).replace("\n", pad)
 
 
 def write_fringes(fringes, path: str) -> None:
@@ -621,7 +664,7 @@ def dispatch(argv: list[str]) -> int:
         "seed": seed,
         "timing_ms": int((time.perf_counter() - start) * 1000.0),
     }
-    text = json.dumps(report, indent=2) + "\n"
+    text = _indented_json(report) + "\n"
     # random-state's --out is the state file; its report goes to stdout.
     out = None if args.command == "random-state" else getattr(args, "out", None)
     try:

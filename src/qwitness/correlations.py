@@ -36,6 +36,7 @@ from .qcore import (
     ATOL_STRUCT,
     DensityMatrix,
     LayoutError,
+    _check_int,
     _identity,
     _psd_margins,
     as_operator,
@@ -220,7 +221,9 @@ class OptimizerConfig:
     SCAN_CAP pairs. ``max_evals`` is the total budget of the refinement's
     value-and-gradient evaluations, split across the ``starts``; it stops
     at the gradient tolerance REFINE_TOL. The verdict threshold is the
-    fixed VERDICT_THRESHOLD.
+    fixed VERDICT_THRESHOLD. Every setting is an integer, never a bool or
+    a float: grid_points >= 2, starts >= 1, max_evals >= 1 and the seed
+    in [0, 2^64 - 1]; the error names the setting.
     """
 
     grid_points: int = 12
@@ -229,10 +232,10 @@ class OptimizerConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.grid_points < 2 or self.starts < 1 or self.max_evals < 1:
-            raise ValueError("grid_points >= 2, starts >= 1, max_evals >= 1 required")
-        if not 0 <= int(self.seed) < 2**64:
-            raise ValueError("seed must be a 64-bit unsigned integer")
+        _check_int("grid_points", self.grid_points, 2)
+        _check_int("starts", self.starts, 1)
+        _check_int("max_evals", self.max_evals, 1)
+        _check_int("seed", self.seed, 0, 2**64 - 1)
 
 
 @dataclass(frozen=True, eq=False)

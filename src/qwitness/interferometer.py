@@ -32,17 +32,32 @@ to biquadratic functionals, still needing only two copies of each input.
 The ancilla + register joint state is never materialized: Tr(U rho) for a
 permutation U is evaluated by cycle decomposition, with the dense matrix
 available as a test oracle via :meth:`PermutationUnitary.matrix`.
+
+What depends only on the setting, never on the states or the fringe data,
+is built once per process and shared: the cascade permutation per layout
+(:func:`build_u1`, :func:`build_u2`), the cycle decomposition per mapping,
+:func:`default_phase_grid` per size and, per phase grid (keyed by the
+bytes of its float64 phases), one fit basis holding the distinct-point
+count, ``exp(1j * phases)``, the design matrix ``[1, cos, sin]``,
+``inv(design.T @ design)`` and its product with ``design.T``. These are
+the expressions a fit would otherwise evaluate on every call, in the same
+order, so sharing them moves no bit of a fringe value or a fit. Each
+cache has a fixed size and holds immutable values or read-only arrays:
+at the CLI's ``--phases`` ceiling of 2^16 a fit basis is ~4.5 MB and a
+phase grid ~2.0 MB (traced allocations), so the grid and basis caches
+hold at most ~26 MB; the permutations are a few hundred bytes each.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .qcore import DensityMatrix, LayoutError, RegisterLayout
+from .qcore import DensityMatrix, LayoutError, RegisterLayout, _check_int
 from .witness import WitnessResult
 
 __all__ = [
@@ -63,6 +78,11 @@ __all__ = [
 
 # Tolerated rounding excursion of exact fringe probabilities outside [0, 1].
 _PROB_SLACK = 1e-9
+# Entries kept by the per-setting caches. A layout or mapping costs a few
+# hundred bytes; a phase grid or fit basis grows with the grid (see the
+# module docstring), so few of those are kept.
+_LAYOUTS_CACHED = 32
+_GRIDS_CACHED = 4
 
 
 @dataclass(frozen=True)
@@ -92,21 +112,9 @@ class PermutationUnitary:
         object.__setattr__(self, "mapping", mapping)
 
     def cycles(self) -> list[tuple[int, ...]]:
-        """Cycle decomposition, each cycle following ``mapping``."""
-        seen = [False] * len(self.mapping)
-        out = []
-        for start in range(len(self.mapping)):
-            if seen[start]:
-                continue
-            cycle = [start]
-            seen[start] = True
-            nxt = self.mapping[start]
-            while nxt != start:
-                cycle.append(nxt)
-                seen[nxt] = True
-                nxt = self.mapping[nxt]
-            out.append(tuple(cycle))
-        return out
+        """Cycle decomposition, each cycle following ``mapping``; a new list
+        on every call."""
+        return list(_cycles(self.mapping))
 
     def matrix(self) -> np.ndarray:
         """Dense 0/1 permutation matrix (test oracle; O(total_dim^2) memory)."""
@@ -118,6 +126,24 @@ class PermutationUnitary:
             row = int(np.ravel_multi_index(moved, dims))
             p[row, col] = 1.0
         return p
+
+
+@functools.lru_cache(maxsize=_LAYOUTS_CACHED)
+def _cycles(mapping: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    seen = [False] * len(mapping)
+    out = []
+    for start in range(len(mapping)):
+        if seen[start]:
+            continue
+        cycle = [start]
+        seen[start] = True
+        nxt = mapping[start]
+        while nxt != start:
+            cycle.append(nxt)
+            seen[nxt] = True
+            nxt = mapping[nxt]
+        out.append(tuple(cycle))
+    return tuple(out)
 
 
 def generalized_swap(i: int, j: int, layout: RegisterLayout) -> PermutationUnitary:
@@ -160,11 +186,12 @@ def compose_permutations(*perms: PermutationUnitary) -> PermutationUnitary:
     return PermutationUnitary(layout, tuple(mapping))
 
 
+@functools.lru_cache(maxsize=_LAYOUTS_CACHED)
 def build_u1(layout: RegisterLayout) -> PermutationUnitary:
     """Swap cascade S01 S12 S23 on a 4-factor register: one 4-cycle.
 
     On rho_a (x) rho_a (x) rho_b (x) rho_b its expectation is
-    Tr(rho_a^2 rho_b^2).
+    Tr(rho_a^2 rho_b^2). Built once per layout; the result is immutable.
     """
     _require_four_equal(layout)
     return compose_permutations(
@@ -174,11 +201,12 @@ def build_u1(layout: RegisterLayout) -> PermutationUnitary:
     )
 
 
+@functools.lru_cache(maxsize=_LAYOUTS_CACHED)
 def build_u2(layout: RegisterLayout) -> PermutationUnitary:
     """Swap cascade S12 S23 S01 S12 S01 on a 4-factor register: one 4-cycle.
 
     On rho_a (x) rho_a (x) rho_b (x) rho_b its expectation is
-    Tr((rho_a rho_b)^2).
+    Tr((rho_a rho_b)^2). Built once per layout; the result is immutable.
     """
     _require_four_equal(layout)
     return compose_permutations(
@@ -210,7 +238,7 @@ def permutation_expectation(perm: PermutationUnitary, states: list[DensityMatrix
         if state.dim != d:
             raise LayoutError(f"state {k} has dim {state.dim}, layout expects {d}")
     result = 1.0 + 0.0j
-    for cycle in perm.cycles():
+    for cycle in _cycles(perm.mapping):
         prod = states[cycle[0]].matrix
         for idx in cycle[1:]:
             prod = prod @ states[idx].matrix
@@ -225,7 +253,8 @@ class InterferometerSpec:
     ``mode="exact"`` records model probabilities; ``mode="sampled"`` draws
     ``shots_per_phase`` Bernoulli samples per phase setting from a generator
     derived from ``(seed, phase index)``, so per-phase results are
-    reproducible regardless of evaluation order.
+    reproducible regardless of evaluation order. ``shots_per_phase`` and
+    ``seed`` must be integers (not bool), the seed in [0, 2^64 - 1].
     """
 
     unitary: PermutationUnitary
@@ -248,16 +277,55 @@ class InterferometerSpec:
             raise ValueError("phase list is empty")
         if not all(math.isfinite(p) for p in self.phases):
             raise ValueError("phases must be finite")
-        if _distinct_circle_points(self.phases) < 3:
+        basis = _fit_basis(np.array(self.phases, dtype=np.float64).tobytes())
+        if basis.n_distinct < 3:
             raise ValueError("need at least 3 distinct phases (mod 2 pi) for the fit")
         if self.mode not in ("exact", "sampled"):
             raise ValueError(f"mode must be 'exact' or 'sampled', got {self.mode!r}")
+        _check_int("shots_per_phase", self.shots_per_phase)
+        _check_int("seed", self.seed, 0, 2**64 - 1)
         if self.mode == "sampled" and self.shots_per_phase < 1:
             raise ValueError("sampled mode needs shots_per_phase >= 1")
+        object.__setattr__(self, "_basis", basis)
 
 
-def _distinct_circle_points(phases) -> int:
-    return len(np.unique(np.round(np.mod(phases, 2.0 * np.pi), 12)))
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.setflags(write=False)
+    return arr
+
+
+class _FitBasis:
+    """What one phase grid alone fixes, shared by every spec and fringe on
+    it; every array is read-only. ``gram_inv`` and ``proj`` are built by
+    the first sampled fit: an exact fit never needs them, and on a grid
+    whose design has dependent columns ``inv`` raises."""
+
+    def __init__(self, key: bytes):
+        phases = np.frombuffer(key, dtype=np.float64)
+        self.phases = phases
+        # A set of finite Python floats counts what np.unique counts (0.0
+        # and -0.0 are one point); np.unique's first call in a process
+        # imports numpy.ma, ~15 ms.
+        self.n_distinct = len(set(np.round(np.mod(phases, 2.0 * np.pi), 12).tolist()))
+        self.rotors = _read_only(np.exp(1j * phases))
+        self.design = _read_only(
+            np.column_stack([np.ones(len(phases)), np.cos(phases), np.sin(phases)])
+        )
+
+    @functools.cached_property
+    def gram_inv(self) -> np.ndarray:
+        return _read_only(np.linalg.inv(self.design.T @ self.design))
+
+    @functools.cached_property
+    def proj(self) -> np.ndarray:
+        """``gram_inv @ design.T``, the left factor of the fit covariance."""
+        return _read_only(self.gram_inv @ self.design.T)
+
+
+@functools.lru_cache(maxsize=_GRIDS_CACHED)
+def _fit_basis(key: bytes) -> _FitBasis:
+    """The fit basis of the phase grid whose float64 bytes are ``key``."""
+    return _FitBasis(key)
 
 
 @dataclass(frozen=True, eq=False)
@@ -317,8 +385,12 @@ class VisibilityEstimate:
             )
 
 
+@functools.lru_cache(maxsize=_GRIDS_CACHED, typed=True)
 def default_phase_grid(n_phases: int = 8) -> tuple[float, ...]:
-    """Equally spaced phases in [0, 2 pi); 8 points over-determine the fit."""
+    """Equally spaced phases in [0, 2 pi); 8 points over-determine the fit.
+
+    Built once per size; the tuple is shared.
+    """
     if n_phases < 3:
         raise ValueError("need at least 3 phases")
     return tuple(np.linspace(0.0, 2.0 * np.pi, n_phases, endpoint=False))
@@ -332,8 +404,9 @@ def run_interferometer(spec: InterferometerSpec) -> FringeData:
     ``shots_per_phase`` draws.
     """
     z = permutation_expectation(spec.unitary, list(spec.inputs))
-    phases = np.asarray(spec.phases, dtype=np.float64)
-    model = 0.5 * (1.0 + (np.exp(1j * phases) * z).real)
+    basis = spec._basis
+    phases = basis.phases
+    model = 0.5 * (1.0 + (basis.rotors * z).real)
     low, high = model.min(), model.max()
     if low < -_PROB_SLACK or high > 1.0 + _PROB_SLACK:
         raise RuntimeError(
@@ -362,11 +435,10 @@ def extract_visibility(fringes: FringeData) -> VisibilityEstimate:
     at p clipped to [1 / (2 shots), 1 - 1 / (2 shots)]; every other
     frequency k / shots already lies in that range.
     """
-    if _distinct_circle_points(fringes.phases) < 3:
+    basis = _fit_basis(fringes.phases.tobytes())
+    if basis.n_distinct < 3:
         raise ValueError("degenerate phase grid: need >= 3 distinct phases (mod 2 pi)")
-    design = np.column_stack(
-        [np.ones(len(fringes)), np.cos(fringes.phases), np.sin(fringes.phases)]
-    )
+    design = basis.design
     coef, *_ = np.linalg.lstsq(design, fringes.p0, rcond=None)
     _, c1, c2 = coef
     r = float(np.hypot(c1, c2))
@@ -381,8 +453,7 @@ def extract_visibility(fringes: FringeData) -> VisibilityEstimate:
         n = fringes.shots[active]
         p = np.clip(fringes.p0[active], 0.5 / n, 1.0 - 0.5 / n)
         var[active] = p * (1.0 - p) / n
-        gram_inv = np.linalg.inv(design.T @ design)
-        cov = gram_inv @ design.T @ (var[:, None] * design) @ gram_inv
+        cov = basis.proj @ (var[:, None] * design) @ basis.gram_inv
         cc = cov[1:, 1:]
         if r > 1e-15:
             grad = 2.0 * np.array([c1, c2]) / r
@@ -428,8 +499,11 @@ def interferometric_quantumness(
     extracts the visibilities v1, v2 and returns Q = 4 (v1 - v2). Exact
     mode reproduces the algebraic value to ~1e-9; sampled mode also
     propagates ``stderr_q`` = 4 sqrt(se1^2 + se2^2). The two experiments
-    use generators derived independently from ``seed``.
+    use generators derived independently from ``seed``. ``shots`` and
+    ``seed`` must be integers (not bool), the seed in [0, 2^64 - 1].
     """
+    _check_int("shots", shots)
+    _check_int("seed", seed, 0, 2**64 - 1)
     phases = default_phase_grid()
     sub_seeds = np.random.SeedSequence(int(seed)).generate_state(2, np.uint64)
     estimates = []

@@ -115,6 +115,27 @@ def _cholesky_shift(dim: int) -> np.ndarray:
     return shift
 
 
+def _check_int(name: str, value, low: int | None = None, high: int | None = None) -> None:
+    """Raise ValueError naming ``name`` unless ``value`` is an integer (a
+    Python or numpy one, never a bool) in [low, high]; either end may be
+    open. A float is refused even when integral: the settings checked here
+    count or seed, and a float reaching them would run a grid or a draw
+    that no integer gives."""
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, (int, np.integer))
+        or (low is not None and value < low)
+        or (high is not None and value > high)
+    ):
+        if (low, high) == (0, 2**64 - 1):
+            what = "a 64-bit unsigned integer"
+        elif low is not None:
+            what = f"an integer >= {low}"
+        else:
+            what = "an integer"
+        raise ValueError(f"{name} must be {what}, got {value!r}")
+
+
 def _herm_dev(m: np.ndarray, m_dag: np.ndarray) -> float:
     """``max |M - M^dag|``: how far ``m`` is from Hermitian, given
     ``m_dag = dagger(m)``."""

@@ -114,6 +114,26 @@ class TestTypes:
                 OptimizerConfig(seed=seed)
         assert OptimizerConfig(seed=2**64 - 1).seed == 2**64 - 1
 
+    @pytest.mark.parametrize("dims", [(2, 2), (3, 3)], ids=["2x2", "3x3"])
+    @pytest.mark.parametrize(
+        "name, bad",
+        [("grid_points", 2.5), ("starts", 1.5), ("max_evals", 200.0), ("seed", 1.5),
+         ("grid_points", True), ("seed", "3"), ("starts", None)],
+    )
+    def test_optimizer_config_rejects_non_integral_settings(self, dims, name, bad):
+        """grid_points=2.5 scanned a grid no integer gives and starts=1.5 ran;
+        seed=1.5 passed the range check, then raised numpy's TypeError at
+        3x3 only. Every setting now fails at construction, by name."""
+        rng = np.random.default_rng(71)
+        state = BipartiteState(ginibre_state(dims[0] * dims[1], 2, rng), *dims)
+        with pytest.raises(ValueError, match=f"^{name} must be "):
+            maximize_witness(state, OptimizerConfig(**{name: bad}))
+
+    def test_optimizer_config_takes_numpy_integers(self):
+        config = OptimizerConfig(grid_points=np.int64(4), starts=np.int32(2),
+                                 max_evals=np.uint16(200), seed=np.uint64(2**64 - 1))
+        assert config.seed == 2**64 - 1
+
     def test_discord_report_verdict_at_the_threshold(self):
         def report(best_q):
             kets = (np.array([1.0, 0.0]), np.array([0.0, 1.0]))

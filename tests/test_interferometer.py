@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+import qwitness.interferometer as interferometer
 from qwitness.interferometer import (
     FringeData,
     InterferometerSpec,
@@ -247,6 +248,30 @@ class TestInterferometerSpec:
         with pytest.raises(LayoutError):
             InterferometerSpec(build_u1(Q4), self._inputs()[:3], default_phase_grid())
 
+    @pytest.mark.parametrize(
+        "field, bad, message",
+        [
+            # 2.5 shots drew binomial(2, p) and divided by 2.5.
+            ("shots_per_phase", 2.5, "shots_per_phase must be an integer"),
+            ("shots_per_phase", True, "shots_per_phase must be an integer"),
+            # 1.5 silently became seed 1; -1 failed mid-run in numpy.
+            ("seed", 1.5, "seed must be a 64-bit unsigned integer"),
+            ("seed", -1, "seed must be a 64-bit unsigned integer"),
+            ("seed", 2**64, "seed must be a 64-bit unsigned integer"),
+            ("seed", False, "seed must be a 64-bit unsigned integer"),
+        ],
+    )
+    def test_shots_and_seed_must_be_integers_at_construction(self, field, bad, message):
+        kwargs = {"mode": "sampled", "shots_per_phase": 2, "seed": 0, field: bad}
+        with pytest.raises(ValueError, match=message):
+            InterferometerSpec(build_u1(Q4), self._inputs(), default_phase_grid(), **kwargs)
+
+    def test_largest_seed_and_numpy_integers_accepted(self):
+        spec = InterferometerSpec(build_u1(Q4), self._inputs(), default_phase_grid(),
+                                  mode="sampled", shots_per_phase=np.int64(3),
+                                  seed=np.uint64(2**64 - 1))
+        assert np.all(run_interferometer(spec).shots == 3)
+
 
 class TestRunInterferometer:
     def test_exact_fringe_matches_dense_model(self):
@@ -480,3 +505,195 @@ class TestInterferometricQuantumness:
             interferometric_quantumness(
                 DensityMatrix(np.eye(2) / 2.0), DensityMatrix(np.eye(3) / 3.0)
             )
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"shots": 2.5}, "shots must be an integer"),
+            ({"shots": True}, "shots must be an integer"),
+            ({"seed": 1.5}, "seed must be a 64-bit unsigned integer"),
+            ({"seed": -1}, "seed must be a 64-bit unsigned integer"),
+            ({"seed": 2**64}, "seed must be a 64-bit unsigned integer"),
+        ],
+    )
+    def test_shots_and_seed_checked_before_the_seed_is_split(self, kwargs, message):
+        rho = DensityMatrix(np.eye(2) / 2.0)
+        args = {"mode": "sampled", "shots": 10, "seed": 0, **kwargs}
+        with pytest.raises(ValueError, match=message):
+            interferometric_quantumness(rho, rho, **args)
+
+
+def reference_fringes(spec):
+    """run_interferometer by its formulas, each evaluated per call."""
+    z = permutation_expectation(spec.unitary, list(spec.inputs))
+    phases = np.asarray(spec.phases, dtype=np.float64)
+    model = np.clip(0.5 * (1.0 + (np.exp(1j * phases) * z).real), 0.0, 1.0)
+    if spec.mode == "exact":
+        return phases, model, np.zeros(len(phases), dtype=np.int64)
+    n = spec.shots_per_phase
+    freqs = np.array([np.random.default_rng([int(spec.seed), k]).binomial(n, p) / n
+                      for k, p in enumerate(model)])
+    return phases, freqs, np.full(len(phases), n, dtype=np.int64)
+
+
+def reference_fit(phases, p0, shots):
+    """extract_visibility by its formulas, each evaluated per call:
+    (v, alpha, stderr_v)."""
+    assert len(np.unique(np.round(np.mod(phases, 2.0 * np.pi), 12))) >= 3
+    design = np.column_stack([np.ones(len(phases)), np.cos(phases), np.sin(phases)])
+    _, c1, c2 = np.linalg.lstsq(design, p0, rcond=None)[0]
+    r = float(np.hypot(c1, c2))
+    alpha = float(np.arctan2(-c2, c1))
+    if alpha <= -np.pi:
+        alpha = np.pi
+    stderr_v = 0.0
+    if np.any(shots > 0):
+        var = np.zeros(len(phases))
+        n = shots[shots > 0]
+        p = np.clip(p0[shots > 0], 0.5 / n, 1.0 - 0.5 / n)
+        var[shots > 0] = p * (1.0 - p) / n
+        gram_inv = np.linalg.inv(design.T @ design)
+        cc = (gram_inv @ design.T @ (var[:, None] * design) @ gram_inv)[1:, 1:]
+        if r > 1e-15:
+            grad = 2.0 * np.array([c1, c2]) / r
+            stderr_v = float(np.sqrt(max(grad @ cc @ grad, 0.0)))
+        else:
+            stderr_v = float(2.0 * np.sqrt(max(np.trace(cc), 0.0)))
+    return 2.0 * r, alpha, stderr_v
+
+
+def bits(*values):
+    return np.array(values, dtype=np.float64).tobytes()
+
+
+def clear_setting_caches():
+    for cache in SETTING_CACHES:
+        cache.cache_clear()
+
+
+SETTING_CACHES = (
+    interferometer.build_u1, interferometer.build_u2, interferometer._cycles,
+    interferometer.default_phase_grid, interferometer._fit_basis,
+)
+GRIDS = {
+    "default": lambda: default_phase_grid(),
+    "3": lambda: default_phase_grid(3),
+    "5": lambda: default_phase_grid(5),
+    "16": lambda: default_phase_grid(16),
+    "non-uniform": lambda: (-0.0, 0.4, 1.1, 1.15, 2.9, 4.0 + 2.0 * np.pi, -1.3),
+}
+
+
+class TestSettingCaches:
+    """Setting-only data (cascades, cycles, phase grids, fit bases) is built
+    once and shared; every output keeps the bits of a per-call evaluation."""
+
+    @pytest.mark.parametrize("grid", sorted(GRIDS))
+    @pytest.mark.parametrize("mode", ["exact", "sampled"])
+    @pytest.mark.parametrize("dim", [2, 3, 5, 16])
+    def test_cold_and_warm_runs_bitwise_equal_per_call_formulas(self, dim, mode, grid):
+        rng = np.random.default_rng([17, dim])
+        ra = ginibre_state(dim, dim, rng)
+        rb = ginibre_state(dim, 1 + dim // 2, rng)
+        shots = 250 if mode == "sampled" else 0
+        clear_setting_caches()
+        for _ in ("cold", "warm"):
+            for build in (build_u1, build_u2):
+                layout = RegisterLayout((dim,) * 4)
+                spec = InterferometerSpec(build(layout), (ra, ra, rb, rb), GRIDS[grid](),
+                                          mode=mode, shots_per_phase=shots, seed=5)
+                fringes = run_interferometer(spec)
+                phases, p0, counts = reference_fringes(spec)
+                assert fringes.phases.tobytes() == phases.tobytes()
+                assert fringes.p0.tobytes() == p0.tobytes()
+                assert fringes.shots.tobytes() == counts.tobytes()
+                est = extract_visibility(fringes)
+                assert bits(est.v, est.alpha, est.stderr_v) == bits(
+                    *reference_fit(phases, p0, counts))
+
+    @pytest.mark.parametrize("mode, shots", [("exact", 0), ("sampled", 400)])
+    @pytest.mark.parametrize("dim", [2, 3, 5, 16])
+    def test_interferometric_quantumness_bitwise_cold_and_warm(self, dim, mode, shots):
+        rng = np.random.default_rng([18, dim])
+        ra, rb = ginibre_state(dim, 2, rng), ginibre_state(dim, dim, rng)
+        sub_seeds = np.random.SeedSequence(9).generate_state(2, np.uint64)
+        v = []
+        for build, sub_seed in zip((build_u1, build_u2), sub_seeds):
+            spec = InterferometerSpec(build(RegisterLayout((dim,) * 4)), (ra, ra, rb, rb),
+                                      default_phase_grid(), mode, shots, int(sub_seed))
+            v.append(reference_fit(*reference_fringes(spec)))
+        (v1, _, se1), (v2, _, se2) = v
+        expected = bits(4.0 * (v1 - v2), v1, v2, 4.0 * float(np.hypot(se1, se2)))
+        clear_setting_caches()
+        for _ in ("cold", "warm"):
+            res = interferometric_quantumness(ra, rb, mode=mode, shots=shots, seed=9)
+            assert bits(res.q_value, res.v1_term, res.v2_term, res.stderr_q) == expected
+
+    @pytest.mark.parametrize(
+        "phases",
+        [(0.0, -0.0, 2.0 * np.pi, 1.0), (0.5, 0.5, 0.5 + 2 * np.pi), (1e-13, 0.0, 3.0),
+         (0.0, 1e-11, 2e-11), (-np.pi, np.pi, 3 * np.pi, 0.1), default_phase_grid(1024)],
+    )
+    def test_distinct_point_count_is_np_unique_count(self, phases):
+        phases = np.array(phases, dtype=np.float64)
+        expected = len(np.unique(np.round(np.mod(phases, 2.0 * np.pi), 12)))
+        assert interferometer._fit_basis(phases.tobytes()).n_distinct == expected
+
+    def test_shared_arrays_are_read_only(self):
+        rng = np.random.default_rng(19)
+        ra = ginibre_state(3, 3, rng)
+        spec = InterferometerSpec(build_u1(RegisterLayout((3,) * 4)), (ra,) * 4,
+                                  default_phase_grid(), mode="sampled", shots_per_phase=9)
+        fringes = run_interferometer(spec)
+        extract_visibility(fringes)  # builds gram_inv and proj
+        basis = interferometer._fit_basis(fringes.phases.tobytes())
+        for arr in (fringes.phases, basis.phases, basis.rotors, basis.design,
+                    basis.gram_inv, basis.proj):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+
+    def test_cycles_returns_a_new_list_each_call(self):
+        perm = build_u2(Q4)
+        first = perm.cycles()
+        first.append((9,))
+        again = perm.cycles()
+        assert again is not first
+        assert len(again) == 1 and len(again[0]) == 4
+
+    def test_each_cache_keeps_its_fixed_size(self):
+        clear_setting_caches()
+        for n in range(3, 3 + 3 * interferometer._GRIDS_CACHED):
+            fr = FringeData(np.asarray(default_phase_grid(n)), np.full(n, 0.5),
+                            np.ones(n, np.int64))
+            extract_visibility(fr)
+        for d in range(1, 2 + interferometer._LAYOUTS_CACHED):
+            for build in (build_u1, build_u2):
+                build(RegisterLayout((d,) * 4))
+        for perm in itertools.permutations(range(5)):
+            PermutationUnitary(RegisterLayout((2,) * 5), perm).cycles()
+        for cache in SETTING_CACHES:
+            info = cache.cache_info()
+            assert info.maxsize is not None
+            assert info.currsize <= info.maxsize, cache
+
+    def test_degenerate_user_fringe_still_raises_once_its_grid_is_known(self):
+        phases = (0.5, 0.5, 0.5 + 2 * np.pi)
+        inputs = (DensityMatrix(np.eye(2) / 2.0),) * 4
+        with pytest.raises(ValueError, match="distinct"):
+            InterferometerSpec(build_u1(Q4), inputs, phases)
+        fr = FringeData(np.array(phases), np.full(3, 0.2), np.zeros(3, np.int64))
+        for _ in range(2):
+            with pytest.raises(ValueError, match="degenerate"):
+                extract_visibility(fr)
+
+    def test_dependent_design_columns_fail_only_the_sampled_fit(self):
+        """cos rounds to 1.0 on three phases 1e-11 apart, so the design's
+        first two columns are equal: the exact fit solves by lstsq, and the
+        sampled fit's inverse Gram matrix raises, on every call."""
+        phases = np.array([0.0, 1e-11, 2e-11])
+        p0 = np.full(3, 0.5)
+        assert extract_visibility(FringeData(phases, p0, np.zeros(3, np.int64))).v >= 0.0
+        for _ in range(2):
+            with pytest.raises(np.linalg.LinAlgError):
+                extract_visibility(FringeData(phases, p0, np.full(3, 10)))
