@@ -20,13 +20,11 @@ float formatting, so parsing them back loses nothing. Fringe CSV rows are
 `phase_rad,p0,shots` with shots 0 marking exact values.
 
 Exit codes: 0 success, 1 usage error, 2 invalid input data, 3 runtime or
-I/O failure. A flag value out of range is a usage error, found before any
-file is read; this covers a `random-state --dim` outside [1, 2^11] (a
-complex 2^11 x 2^11 matrix is 64 MiB), `--shots` outside [1, 2^63 - 1]
-(numpy's binomial draw takes an int64 count), a `--seed` outside
-[0, 2^64 - 1] (the range of RandomSpec), an `interfere --phases` outside
-[3, 2^16], a `discord --dims` split with dim_a below 2 or dim_b below 1
-and a non-finite `example --phi` or `--theta`. A `random-state --rank`
+I/O failure. A flag value out of its `_FLAGS` row's range (a `--dim` above
+2^11, whose complex matrix is 64 MiB, a `--shots` above the int64 count
+numpy's binomial draw takes, a `--seed` outside [0, 2^64 - 1]) or a
+non-finite float flag is a usage error, found before any file is read;
+of several, the first in usage order is reported. A `random-state --rank`
 outside [1, --dim] is a data error, as is a state file that is not UTF-8
 JSON or whose dim or dims is not a JSON integer or whose matrix entries
 are not JSON numbers, or that is nested too deeply to parse. A data error found
@@ -79,6 +77,7 @@ from .correlations import (
     separable_example_state,
 )
 from .interferometer import (
+    _SHOTS_MAX,
     _cascade_spec,
     build_u1,
     build_u2,
@@ -88,6 +87,7 @@ from .interferometer import (
     run_interferometer,
 )
 from .qcore import (
+    _SEED_MAX,
     DensityMatrix,
     LayoutError,
     RandomSpec,
@@ -108,23 +108,6 @@ __all__ = [
 SCHEMA_VERSION = "2"
 
 _METHOD_NAMES = {"direct": "direct_norm", "trace": "trace_formula"}
-
-# Smallest accepted value of each integer flag that has one (one per
-# element for --dims: the measured subsystem needs dim_a >= 2), and the float
-# flags that must be finite; a value out of range is a usage error, caught
-# before any file is read.
-_INT_FLOORS = {
-    "phases": 3, "seed": 0, "grid": 2, "starts": 1, "max_evals": 1, "dim": 1,
-    "dims": (2, 1), "shots": 1,
-}
-# Largest accepted value of each integer flag that has one: --seed spans
-# RandomSpec's range on every subcommand, --shots is the largest count
-# numpy's binomial draw takes (an int64), and --phases and --dim keep the
-# phase grid and the state small enough to build. random-state at d = 512
-# peaks ~33 MB above the interpreter's start-up, so ~0.55 GB at d = 2^11
-# (scaled by d^2).
-_INT_CEILINGS = {"phases": 2**16, "seed": 2**64 - 1, "shots": 2**63 - 1, "dim": 2**11}
-_FINITE_FLOATS = ("phi", "theta")
 
 _NEGATIVE_FLOAT = re.compile(
     r"^-(\d+\.?\d*|\.\d+)(e[-+]?\d+)?$|^-(inf|infinity|nan)$", re.IGNORECASE
@@ -323,8 +306,9 @@ class _Parser(argparse.ArgumentParser):
 
 
 class _Flag(NamedTuple):
-    """One argument of a subcommand, in the terms of argparse's add_argument;
-    a flag without the leading "-" is a positional."""
+    """One argument of a subcommand, in the terms of argparse's add_argument,
+    and its range ``low`` to ``high`` (``low`` per element for nargs); a
+    flag without the leading "-" is a positional."""
 
     flag: str
     dest: str
@@ -335,12 +319,14 @@ class _Flag(NamedTuple):
     choices: tuple[str, ...] | None = None
     metavar: str | tuple[str, ...] | None = None
     help: str | None = None
+    low: int | tuple[int, ...] | None = None
+    high: int | None = None
 
 
 _STATE_A = _Flag("--state-a", "state_a", required=True, metavar="F")
 _STATE_B = _Flag("--state-b", "state_b", required=True, metavar="F")
-_SHOTS = _Flag("--shots", "shots", int, metavar="N")
-_SEED = _Flag("--seed", "seed", int, default=0, metavar="S")
+_SHOTS = _Flag("--shots", "shots", int, metavar="N", low=1, high=_SHOTS_MAX)
+_SEED = _Flag("--seed", "seed", int, default=0, metavar="S", low=0, high=_SEED_MAX)
 _OUT = _Flag("--out", "out", metavar="F")
 _SEARCH_DEFAULTS = OptimizerConfig()
 
@@ -362,7 +348,7 @@ _FLAGS: dict[str, tuple[_Flag, ...]] = {
         _STATE_A,
         _STATE_B,
         _Flag("--phases", "phases", int, default=8, metavar="K",
-              help="phases in the fringe scan, 3 to 2^16"),
+              help="phases in the fringe scan, 3 to 2^16", low=3, high=2**16),
         _Flag("--mode", "mode", default="exact", choices=("exact", "sampled")),
         _SHOTS,
         _SEED,
@@ -371,12 +357,15 @@ _FLAGS: dict[str, tuple[_Flag, ...]] = {
     ),
     "discord": (
         _Flag("--state", "state", required=True, metavar="F"),
-        _Flag("--dims", "dims", int, nargs=2, required=True, metavar=("DA", "DB")),
+        _Flag("--dims", "dims", int, nargs=2, required=True, metavar=("DA", "DB"),
+              low=(2, 1)),
         _Flag("--grid", "grid", int, default=_SEARCH_DEFAULTS.grid_points, metavar="G",
-              help="scan points per ket axis; every pair of scan kets is scored"),
-        _Flag("--starts", "starts", int, default=_SEARCH_DEFAULTS.starts, metavar="R"),
+              help="scan points per ket axis; every pair of scan kets is scored",
+              low=2),
+        _Flag("--starts", "starts", int, default=_SEARCH_DEFAULTS.starts, metavar="R", low=1),
         _Flag("--max-evals", "max_evals", int, default=_SEARCH_DEFAULTS.max_evals,
-              metavar="N", help="total refinement evaluations, split across the starts"),
+              metavar="N", help="total refinement evaluations, split across the starts",
+              low=1),
         _SEED,
         _OUT,
     ),
@@ -388,7 +377,7 @@ _FLAGS: dict[str, tuple[_Flag, ...]] = {
     ),
     "random-state": (
         _Flag("--dim", "dim", int, required=True, metavar="D",
-              help="state dimension, 1 to 2^11"),
+              help="state dimension, 1 to 2^11", low=1, high=2**11),
         _Flag("--rank", "rank", int, required=True, metavar="R"),
         _SEED._replace(required=True, default=None),
         _OUT._replace(required=True),
@@ -399,7 +388,7 @@ _FLAGS: dict[str, tuple[_Flag, ...]] = {
 def _add_args(p: argparse.ArgumentParser, rows: tuple[_Flag, ...]) -> None:
     for row in rows:
         kwargs = row._asdict()
-        del kwargs["flag"]
+        del kwargs["flag"], kwargs["low"], kwargs["high"]
         if not row.flag.startswith("-"):  # argparse takes neither for a positional
             del kwargs["dest"], kwargs["required"]
         p.add_argument(row.flag, **kwargs)
@@ -486,25 +475,24 @@ def _load_single(path: str) -> tuple[DensityMatrix, dict[str, str]]:
 
 
 def _check_flag_ranges(args) -> None:
-    for dest, floor in _INT_FLOORS.items():
-        value = getattr(args, dest, None)
+    """Raise _UsageError for the first flag, in usage order, out of range."""
+    for row in _FLAGS[args.command]:
+        if row.low is None and row.high is None and row.type is not float:
+            continue
+        value = getattr(args, row.dest)
         if value is None:
             continue
-        values = value if isinstance(value, list) else [value]
-        floors = floor if isinstance(floor, tuple) else (floor,) * len(values)
-        if any(v < low for v, low in zip(values, floors)):
-            flag = "--" + dest.replace("_", "-")
-            low = " ".join(map(str, floors))
-            got = " ".join(map(str, values))
-            raise _UsageError(f"{flag} must be >= {low}, got {got}")
-    for dest, ceiling in _INT_CEILINGS.items():
-        value = getattr(args, dest, None)
-        if value is not None and value > ceiling:
-            raise _UsageError(f"--{dest} must be <= {ceiling}, got {value}")
-    for dest in _FINITE_FLOATS:
-        value = getattr(args, dest, None)
-        if value is not None and not math.isfinite(value):
-            raise _UsageError(f"--{dest} must be finite, got {value}")
+        if row.type is float:
+            if not math.isfinite(value):
+                raise _UsageError(f"{row.flag} must be finite, got {value}")
+        elif row.nargs:
+            if any(v < low for v, low in zip(value, row.low)):
+                low, got = (" ".join(map(str, v)) for v in (row.low, value))
+                raise _UsageError(f"{row.flag} must be >= {low}, got {got}")
+        elif row.low is not None and value < row.low:
+            raise _UsageError(f"{row.flag} must be >= {row.low}, got {value}")
+        elif row.high is not None and value > row.high:
+            raise _UsageError(f"{row.flag} must be <= {row.high}, got {value}")
 
 
 def _cmd_witness(args) -> tuple[dict, dict, int | None]:

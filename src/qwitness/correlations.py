@@ -33,6 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .qcore import (
+    _SEED_MAX,
     ATOL_STRUCT,
     DensityMatrix,
     LayoutError,
@@ -235,7 +236,7 @@ class OptimizerConfig:
         _check_int("grid_points", self.grid_points, 2)
         _check_int("starts", self.starts, 1)
         _check_int("max_evals", self.max_evals, 1)
-        _check_int("seed", self.seed, 0, 2**64 - 1)
+        _check_int("seed", self.seed, 0, _SEED_MAX)
 
 
 @dataclass(frozen=True, eq=False)

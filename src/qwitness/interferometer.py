@@ -57,7 +57,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qcore import DensityMatrix, LayoutError, RegisterLayout, _check_int
+from .qcore import _SEED_MAX, DensityMatrix, LayoutError, RegisterLayout, _check_int
 from .witness import WitnessResult
 
 __all__ = [
@@ -78,6 +78,8 @@ __all__ = [
 
 # Tolerated rounding excursion of exact fringe probabilities outside [0, 1].
 _PROB_SLACK = 1e-9
+# Largest shot count per phase: numpy's binomial draw takes an int64 count.
+_SHOTS_MAX = 2**63 - 1
 # Entries kept by the per-setting caches. A layout or mapping costs a few
 # hundred bytes; a phase grid or fit basis grows with the grid (see the
 # module docstring), so few of those are kept.
@@ -253,8 +255,8 @@ class InterferometerSpec:
     ``mode="exact"`` records model probabilities; ``mode="sampled"`` draws
     ``shots_per_phase`` Bernoulli samples per phase setting from a generator
     derived from ``(seed, phase index)``, so per-phase results are
-    reproducible regardless of evaluation order. ``shots_per_phase`` and
-    ``seed`` must be integers (not bool), the seed in [0, 2^64 - 1].
+    reproducible regardless of evaluation order. ``shots_per_phase`` (at
+    most 2^63 - 1) and ``seed`` (in [0, 2^64 - 1]) are integers, not bool.
     """
 
     unitary: PermutationUnitary
@@ -282,8 +284,8 @@ class InterferometerSpec:
             raise ValueError("need at least 3 distinct phases (mod 2 pi) for the fit")
         if self.mode not in ("exact", "sampled"):
             raise ValueError(f"mode must be 'exact' or 'sampled', got {self.mode!r}")
-        _check_int("shots_per_phase", self.shots_per_phase)
-        _check_int("seed", self.seed, 0, 2**64 - 1)
+        _check_int("shots_per_phase", self.shots_per_phase, high=_SHOTS_MAX)
+        _check_int("seed", self.seed, 0, _SEED_MAX)
         if self.mode == "sampled" and self.shots_per_phase < 1:
             raise ValueError("sampled mode needs shots_per_phase >= 1")
         object.__setattr__(self, "_basis", basis)
@@ -499,11 +501,11 @@ def interferometric_quantumness(
     extracts the visibilities v1, v2 and returns Q = 4 (v1 - v2). Exact
     mode reproduces the algebraic value to ~1e-9; sampled mode also
     propagates ``stderr_q`` = 4 sqrt(se1^2 + se2^2). The two experiments
-    use generators derived independently from ``seed``. ``shots`` and
-    ``seed`` must be integers (not bool), the seed in [0, 2^64 - 1].
+    use generators derived independently from ``seed``. ``shots`` (at most
+    2^63 - 1) and ``seed`` (in [0, 2^64 - 1]) are integers, not bool.
     """
-    _check_int("shots", shots)
-    _check_int("seed", seed, 0, 2**64 - 1)
+    _check_int("shots", shots, high=_SHOTS_MAX)
+    _check_int("seed", seed, 0, _SEED_MAX)
     phases = default_phase_grid()
     sub_seeds = np.random.SeedSequence(int(seed)).generate_state(2, np.uint64)
     estimates = []

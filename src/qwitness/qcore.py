@@ -32,6 +32,8 @@ ATOL_EXACT = 1e-12
 # 2^-53 as a Python float: the bound's scalar arithmetic then skips numpy's
 # scalar overhead and rounds exactly as float64 did.
 _UNIT_ROUNDOFF = float(np.finfo(np.float64).eps / 2.0)
+# Largest seed of every seeded draw: seeds are 64-bit unsigned integers.
+_SEED_MAX = 2**64 - 1
 
 __all__ = [
     "ATOL_STRUCT",
@@ -127,8 +129,10 @@ def _check_int(name: str, value, low: int | None = None, high: int | None = None
         or (low is not None and value < low)
         or (high is not None and value > high)
     ):
-        if (low, high) == (0, 2**64 - 1):
+        if (low, high) == (0, _SEED_MAX):
             what = "a 64-bit unsigned integer"
+        elif high is not None:
+            what = f"an integer <= {high}" if low is None else f"an integer in [{low}, {high}]"
         elif low is not None:
             what = f"an integer >= {low}"
         else:
@@ -272,19 +276,21 @@ class RegisterLayout:
 
 @dataclass(frozen=True)
 class RandomSpec:
-    """Reproducible random-state request: identical spec, identical state."""
+    """Reproducible random-state request: identical spec, identical state.
+    Integers, never bool or float: dim >= 1, rank in [1, dim], seed in [0, 2^64 - 1]."""
 
     dim: int
     rank: int
     seed: int
 
     def __post_init__(self):
+        _check_int("dim", self.dim)
+        _check_int("rank", self.rank)
+        _check_int("seed", self.seed, 0, _SEED_MAX)
         if self.dim < 1:
             raise ValueError(f"dim must be positive, got {self.dim}")
         if not 1 <= self.rank <= self.dim:
             raise ValueError(f"rank must lie in [1, {self.dim}], got {self.rank}")
-        if not 0 <= int(self.seed) < 2**64:
-            raise ValueError("seed must be a 64-bit unsigned integer")
 
 
 def _matrix_of(x) -> np.ndarray:

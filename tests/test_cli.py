@@ -88,6 +88,40 @@ class TestStateIO:
         back = load_state(str(path))
         assert (back.state if split else back).matrix.tobytes() == state.matrix.tobytes()
 
+    @settings(derandomize=True, database=None, max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_round_trip_keeps_every_bit(self, data):
+        """save_state then load_state returns ``matrix.tobytes()`` and
+        ``dims`` unchanged: Ginibre states at d 1-8 and every rank, and
+        diagonal states whose off-diagonal zeros carry drawn signs."""
+        d = data.draw(st.integers(1, 8))
+        if data.draw(st.booleans()):
+            rank = data.draw(st.integers(1, d))
+            state = random_density(RandomSpec(d, rank, data.draw(st.integers(0, 2**64 - 1))))
+        else:
+            weights = np.array(
+                data.draw(st.lists(st.floats(0.01, 1.0), min_size=d, max_size=d))
+            )
+            signs = data.draw(st.lists(st.booleans(), min_size=2 * d * d, max_size=2 * d * d))
+            zeros = np.where(signs, -0.0, 0.0).reshape(2, d, d)
+            m = np.empty((d, d), dtype=np.complex128)
+            m.real, m.imag = zeros
+            np.fill_diagonal(m.real, weights / weights.sum())
+            state = DensityMatrix(m)
+            assert np.array_equal(np.signbit(state.matrix.imag), np.signbit(zeros[1]))
+        splits = [None, *((a, d // a) for a in range(1, d + 1) if d % a == 0)]
+        dims = splits[data.draw(st.integers(0, len(splits) - 1))]
+        with tempfile.TemporaryDirectory() as workdir:
+            path = os.path.join(workdir, "s.json")
+            save_state(state, path, dims=dims)
+            back = load_state(path)
+        if dims is None:
+            assert isinstance(back, DensityMatrix)
+        else:
+            assert (back.dim_a, back.dim_b) == dims
+            back = back.state
+        assert back.matrix.tobytes() == state.matrix.tobytes()
+
     def test_missing_key_is_flagged(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text('{"dim": 2, "re": [[1, 0], [0, 0]]}')
@@ -616,6 +650,40 @@ class TestRandomStateCommand:
         assert "rank" in err
 
 
+# Each subcommand's argv with every flag in range and state files that do
+# not exist, so a range error is the only error found before a file is read.
+IN_RANGE_ARGV = {
+    "witness": ["witness", "--state-a", "missing.json", "--state-b", "missing.json",
+                "--method", "interfere", "--shots", "10"],
+    "interfere": ["interfere", "--u", "u1", "--state-a", "missing.json",
+                  "--state-b", "missing.json", "--mode", "sampled", "--shots", "10",
+                  "--fringes-out", "f.csv"],
+    "discord": ["discord", "--state", "missing.json", "--dims", "2", "2"],
+    "example": ["example", "epr", "--phi", "0.5"],
+    "random-state": ["random-state", "--dim", "2", "--rank", "1", "--seed", "0",
+                     "--out", "r.json"],
+}
+
+
+def out_of_range_cases():
+    """(command, row, values, rule) for each end of every ranged row of the
+    flag table, one value past it (each element of a nargs row in turn),
+    and the non-finite values of every float row."""
+    for command, rows in cli._FLAGS.items():
+        for row in rows:
+            if row.nargs and row.low is not None:
+                for i in range(row.nargs):
+                    values = [*row.low[:i], row.low[i] - 1, *row.low[i + 1:]]
+                    yield command, row, values, f">= {' '.join(map(str, row.low))}"
+            elif row.low is not None:
+                yield command, row, [row.low - 1], f">= {row.low}"
+            if row.high is not None:
+                yield command, row, [row.high + 1], f"<= {row.high}"
+            if row.type is float:
+                for value in (math.nan, math.inf, -math.inf):
+                    yield command, row, [value], "finite"
+
+
 class TestExitCodes:
     @pytest.mark.parametrize(
         "command, extra",
@@ -736,6 +804,63 @@ class TestExitCodes:
         assert f"error: --phases must be <= {2**16}, got {2**16 + 1}" in err
         assert out == ""
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("joined", [False, True], ids=["spaced", "joined"])
+    @pytest.mark.parametrize(
+        "command, row, values, rule", list(out_of_range_cases()),
+        ids=lambda v: v.flag if isinstance(v, cli._Flag) else v if isinstance(v, str)
+        else " ".join(map(str, v)),
+    )
+    def test_each_flag_range_on_the_table(
+        self, tmp_path, capsys, monkeypatch, command, row, values, rule, joined
+    ):
+        """One past each end of each row's range, on both parse paths, is a
+        usage error naming the row's flag and range, found before any file
+        is read (none exists) and leaving no file behind."""
+        monkeypatch.chdir(tmp_path)
+        argv = list(IN_RANGE_ARGV[command])
+        got = " ".join(map(str, values))
+        # "--dims=A B" is not one flag; given twice, --dims goes to argparse too.
+        repeat = joined and row.nargs
+        if row.flag in argv and not repeat:
+            i = argv.index(row.flag)
+            del argv[i:i + 1 + (row.nargs or 1)]
+        if joined and not repeat:
+            argv.append(f"{row.flag}={got}")
+        else:
+            argv += [row.flag, *map(str, values)]
+        if joined:
+            assert cli._parse_canonical(argv[0], argv[1:]) is None
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (1, "")
+        assert err == f"qwitness {command}: error: {row.flag} must be {rule}, got {got}\n"
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["witness", "--state-a", "a.json", "--state-b", "b.json", "--method",
+              "interfere", "--shots", "0", "--seed=-1"], "--shots must be >= 1, got 0"),
+            (["discord", "--seed", "-1", "--grid", "1", "--state", "ab.json",
+              "--dims", "1", "1"], "--dims must be >= 2 1, got 1 1"),
+            (["interfere", "--u", "u1", "--state-a", "a.json", "--state-b", "b.json",
+              "--fringes-out", "f.csv", "--seed", str(2**64), "--phases", "2"],
+             "--phases must be >= 3, got 2"),
+        ],
+        ids=["witness", "discord", "interfere"],
+    )
+    def test_first_out_of_range_flag_in_usage_order_is_reported(
+        self, tmp_path, capsys, monkeypatch, argv, message
+    ):
+        """Usage order is the flag table's row order, whatever the argv's."""
+        monkeypatch.chdir(tmp_path)
+        assert run(capsys, argv) == (1, "", f"qwitness {argv[0]}: error: {message}\n")
+
+    def test_no_flag_is_a_single_dash(self):
+        """_Parser reads "-inf" and "-nan" as values only while -h is the one
+        single-dash option; a flag such as -i or -n would take them."""
+        flags = [row.flag for rows in cli._FLAGS.values() for row in rows]
+        assert [f for f in flags if f.startswith("-") and not f.startswith("--")] == []
 
     @pytest.mark.parametrize(
         "flag, value", [("--phi", "nan"), ("--phi", "inf"), ("--theta", "-inf")]

@@ -254,6 +254,9 @@ class TestInterferometerSpec:
             # 2.5 shots drew binomial(2, p) and divided by 2.5.
             ("shots_per_phase", 2.5, "shots_per_phase must be an integer"),
             ("shots_per_phase", True, "shots_per_phase must be an integer"),
+            # numpy's binomial draw takes an int64 count.
+            ("shots_per_phase", 2**63,
+             f"shots_per_phase must be an integer <= {2**63 - 1}, got {2**63}"),
             # 1.5 silently became seed 1; -1 failed mid-run in numpy.
             ("seed", 1.5, "seed must be a 64-bit unsigned integer"),
             ("seed", -1, "seed must be a 64-bit unsigned integer"),
@@ -271,6 +274,11 @@ class TestInterferometerSpec:
                                   mode="sampled", shots_per_phase=np.int64(3),
                                   seed=np.uint64(2**64 - 1))
         assert np.all(run_interferometer(spec).shots == 3)
+
+    def test_largest_shot_count_accepted(self):
+        spec = InterferometerSpec(build_u1(Q4), self._inputs(), default_phase_grid(),
+                                  mode="sampled", shots_per_phase=2**63 - 1)
+        assert np.all(run_interferometer(spec).shots == 2**63 - 1)
 
 
 class TestRunInterferometer:
@@ -511,6 +519,9 @@ class TestInterferometricQuantumness:
         [
             ({"shots": 2.5}, "shots must be an integer"),
             ({"shots": True}, "shots must be an integer"),
+            # Passed every check, then numpy's binomial draw raised
+            # OverflowError partway through the run.
+            ({"shots": 2**63}, f"shots must be an integer <= {2**63 - 1}, got {2**63}"),
             ({"seed": 1.5}, "seed must be a 64-bit unsigned integer"),
             ({"seed": -1}, "seed must be a 64-bit unsigned integer"),
             ({"seed": 2**64}, "seed must be a 64-bit unsigned integer"),
@@ -521,6 +532,11 @@ class TestInterferometricQuantumness:
         args = {"mode": "sampled", "shots": 10, "seed": 0, **kwargs}
         with pytest.raises(ValueError, match=message):
             interferometric_quantumness(rho, rho, **args)
+
+    def test_largest_shot_count_accepted(self):
+        rho = DensityMatrix(np.eye(2) / 2.0)
+        res = interferometric_quantumness(rho, rho, mode="sampled", shots=2**63 - 1, seed=0)
+        assert np.isfinite(res.q_value)
 
 
 def reference_fringes(spec):

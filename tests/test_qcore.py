@@ -454,6 +454,33 @@ class TestRandomDensity:
         with pytest.raises(ValueError):
             RandomSpec(dim=3, rank=0, seed=0)
 
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            # seed=1.5 drew from seed 1; dim=3.5 and seed=True constructed.
+            ({"seed": 1.5}, "seed must be a 64-bit unsigned integer, got 1.5"),
+            ({"seed": True}, "seed must be a 64-bit unsigned integer, got True"),
+            ({"seed": "1"}, "seed must be a 64-bit unsigned integer, got '1'"),
+            ({"dim": 3.5}, "dim must be an integer, got 3.5"),
+            ({"dim": 3.0}, "dim must be an integer, got 3.0"),
+            ({"rank": 2.0}, "rank must be an integer, got 2.0"),
+            ({"rank": False}, "rank must be an integer, got False"),
+            # The range messages are unchanged; random-state --rank shows them.
+            ({"seed": -1}, "seed must be a 64-bit unsigned integer, got -1"),
+            ({"seed": 2**64}, "seed must be a 64-bit unsigned integer"),
+            ({"dim": 0, "rank": 0}, "dim must be positive, got 0"),
+            ({"rank": 4}, r"rank must lie in \[1, 3\], got 4"),
+        ],
+    )
+    def test_settings_follow_the_integer_rule(self, kwargs, message):
+        with pytest.raises(ValueError, match=f"^{message}"):
+            random_density(RandomSpec(**{"dim": 3, "rank": 2, "seed": 1, **kwargs}))
+
+    def test_numpy_integers_and_the_largest_seed_accepted(self):
+        spec = RandomSpec(dim=np.int64(3), rank=np.uint8(2), seed=np.uint64(2**64 - 1))
+        expected = random_density(RandomSpec(dim=3, rank=2, seed=2**64 - 1))
+        assert random_density(spec).matrix.tobytes() == expected.matrix.tobytes()
+
 
 class TestConjugateByUnitary:
     def test_identity_leaves_state(self):
