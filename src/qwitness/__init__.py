@@ -46,7 +46,6 @@ from .qcore import (
     RandomSpec,
     RegisterLayout,
     StateValidationError,
-    basis_ket,
     commutator_hs,
     conjugate_by_unitary,
     partial_trace,
@@ -54,15 +53,7 @@ from .qcore import (
     random_density,
     tensor_product,
 )
-from .witness import (
-    ProbePair,
-    WitnessResult,
-    classicality_probe,
-    default_probe_pairs,
-    gell_mann_basis,
-    quantumness,
-    witness_observables,
-)
+from .witness import WitnessResult, quantumness, witness_observables
 
 __version__ = "0.1.0"
 
@@ -79,28 +70,23 @@ __all__ = [
     "OptimizerConfig",
     "PermutationUnitary",
     "PovmElement",
-    "ProbePair",
     "RandomSpec",
     "RegisterLayout",
     "StateValidationError",
     "VisibilityEstimate",
     "WitnessResult",
     "ZeroProbabilityError",
-    "basis_ket",
     "build_cq_state",
     "build_u1",
     "build_u2",
-    "classicality_probe",
     "commutator_hs",
     "compose_permutations",
     "conditional_state",
     "conjugate_by_unitary",
     "correlation_witness",
     "default_phase_grid",
-    "default_probe_pairs",
     "epr_state",
     "extract_visibility",
-    "gell_mann_basis",
     "generalized_swap",
     "interferometric_quantumness",
     "maximize_witness",

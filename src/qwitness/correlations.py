@@ -95,7 +95,8 @@ class BipartiteState:
     """Density matrix on A (x) B with the split recorded explicitly.
 
     Row/column index factors as (a, b) in C order, matching
-    :func:`qcore.tensor_product`.
+    :func:`qcore.tensor_product`. ``dim_a`` and ``dim_b`` are integers
+    (Python or numpy, never bool or float).
     """
 
     state: DensityMatrix
@@ -103,6 +104,8 @@ class BipartiteState:
     dim_b: int
 
     def __post_init__(self):
+        _check_int("dim_a", self.dim_a)
+        _check_int("dim_b", self.dim_b)
         if self.dim_a < 1 or self.dim_b < 1:
             raise LayoutError("subsystem dimensions must be positive")
         if self.dim_a * self.dim_b != self.state.dim:

@@ -94,13 +94,14 @@ class PermutationUnitary:
     ``mapping[s]`` is the slot whose content ends up in slot ``s``: on a
     product basis ket, slot ``s`` of the output holds factor ``mapping[s]``
     of the input. As a dense operator this is a 0/1 permutation matrix.
+    Slots are integers (Python or numpy, never bool or float).
     """
 
     layout: RegisterLayout
     mapping: tuple[int, ...]
 
     def __post_init__(self):
-        mapping = tuple(int(s) for s in self.mapping)
+        mapping = tuple(_check_int("mapping slot", s) for s in self.mapping)
         n = self.layout.n_factors
         if sorted(mapping) != list(range(n)):
             raise LayoutError(f"mapping {mapping} is not a permutation of 0..{n - 1}")
@@ -288,6 +289,8 @@ class InterferometerSpec:
         _check_int("seed", self.seed, 0, _SEED_MAX)
         if self.mode == "sampled" and self.shots_per_phase < 1:
             raise ValueError("sampled mode needs shots_per_phase >= 1")
+        if self.mode == "exact" and self.shots_per_phase != 0:
+            raise ValueError(f"exact mode needs shots_per_phase 0, got {self.shots_per_phase}")
         object.__setattr__(self, "_basis", basis)
 
 

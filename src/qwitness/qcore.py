@@ -53,7 +53,6 @@ __all__ = [
     "ginibre_state",
     "conjugate_by_unitary",
     "pure_state",
-    "basis_ket",
 ]
 
 
@@ -117,12 +116,13 @@ def _cholesky_shift(dim: int) -> np.ndarray:
     return shift
 
 
-def _check_int(name: str, value, low: int | None = None, high: int | None = None) -> None:
-    """Raise ValueError naming ``name`` unless ``value`` is an integer (a
-    Python or numpy one, never a bool) in [low, high]; either end may be
-    open. A float is refused even when integral: the settings checked here
-    count or seed, and a float reaching them would run a grid or a draw
-    that no integer gives."""
+def _check_int(name: str, value, low: int | None = None, high: int | None = None) -> int:
+    """``int(value)`` if ``value`` is an integer (a Python or numpy one,
+    never a bool) in [low, high], either end of which may be open; else
+    raise ValueError naming ``name``. A float is refused even when
+    integral: the values checked here count, index or seed, and a float
+    reaching them would run a grid, a draw or a layout that no integer
+    gives."""
     if (
         isinstance(value, bool)
         or not isinstance(value, (int, np.integer))
@@ -138,12 +138,7 @@ def _check_int(name: str, value, low: int | None = None, high: int | None = None
         else:
             what = "an integer"
         raise ValueError(f"{name} must be {what}, got {value!r}")
-
-
-def _herm_dev(m: np.ndarray, m_dag: np.ndarray) -> float:
-    """``max |M - M^dag|``: how far ``m`` is from Hermitian, given
-    ``m_dag = dagger(m)``."""
-    return float(np.abs(m - m_dag).max())
+    return int(value)
 
 
 def _sym_spectrum(m: np.ndarray) -> np.ndarray:
@@ -174,7 +169,7 @@ def _psd_margins(m: np.ndarray) -> tuple[float, float | None]:
     measure: it raises :class:`StateValidationError` (``"finiteness"``).
     """
     m_dag = dagger(m)
-    herm_dev = _herm_dev(m, m_dag)
+    herm_dev = float(np.abs(m - m_dag).max())
     d = m.shape[0]
     shift = ATOL_STRUCT / 2.0
     a = m + m_dag
@@ -253,12 +248,13 @@ class DensityMatrix:
 
 @dataclass(frozen=True)
 class RegisterLayout:
-    """Ordered local dimensions of the tensor factors of a register."""
+    """Ordered local dimensions of the tensor factors of a register:
+    integers (Python or numpy, never bool or float), stored as Python ints."""
 
     dims: tuple[int, ...]
 
     def __post_init__(self):
-        dims = tuple(int(d) for d in self.dims)
+        dims = tuple(_check_int("local dimension", d) for d in self.dims)
         if len(dims) == 0:
             raise LayoutError("layout must have at least one factor")
         if any(d < 1 for d in dims):
@@ -401,12 +397,3 @@ def pure_state(vec) -> DensityMatrix:
         raise StateValidationError("positivity", 0.0, "zero vector has no state")
     v = v / nrm
     return DensityMatrix(np.outer(v, v.conj()))
-
-
-def basis_ket(index: int, dim: int) -> np.ndarray:
-    """Computational-basis column vector |index> in ``dim`` dimensions."""
-    if not 0 <= index < dim:
-        raise LayoutError(f"basis index {index} out of range for dim {dim}")
-    v = np.zeros(dim, dtype=np.complex128)
-    v[index] = 1.0
-    return v

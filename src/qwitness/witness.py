@@ -35,30 +35,13 @@ All functions are pure and safe to evaluate in parallel over batches.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .qcore import (
-    ATOL_STRUCT,
-    DensityMatrix,
-    LayoutError,
-    _herm_dev,
-    _matrix_of,
-    commutator_hs,
-    dagger,
-)
+from .qcore import ATOL_STRUCT, DensityMatrix, LayoutError, commutator_hs
 
-__all__ = [
-    "WitnessResult",
-    "ProbePair",
-    "quantumness",
-    "witness_observables",
-    "classicality_probe",
-    "gell_mann_basis",
-    "default_probe_pairs",
-]
+__all__ = ["WitnessResult", "quantumness", "witness_observables"]
 
 METHODS = ("direct_norm", "trace_formula", "interferometer")
 
@@ -95,26 +78,6 @@ class WitnessResult:
                 )
             if abs(self.q_value - 4.0 * (self.v1_term - self.v2_term)) > ATOL_STRUCT:
                 raise ValueError("q_value inconsistent with 4 (v1 - v2)")
-
-
-@dataclass(frozen=True, eq=False)
-class ProbePair:
-    """A pair of Hermitian observables used to probe Tr(rho [A, B])."""
-
-    a: np.ndarray
-    b: np.ndarray
-
-    def __post_init__(self):
-        a = _matrix_of(self.a)
-        b = _matrix_of(self.b)
-        for name, m in (("a", a), ("b", b)):
-            dev = _herm_dev(m, dagger(m))
-            if dev > ATOL_STRUCT:
-                raise ValueError(f"probe {name} is not Hermitian: max dev {dev:.3e}")
-        if a.shape != b.shape:
-            raise LayoutError(f"probe dimensions differ: {a.shape} vs {b.shape}")
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
 
 
 def _trace_terms(ab: np.ndarray,
@@ -179,66 +142,3 @@ def witness_observables(rho_a: DensityMatrix, rho_b: DensityMatrix) -> tuple[com
     value_a = complex(np.trace(ma @ (a_obs @ mb - mb @ a_obs)))
     value_b = complex(np.trace(mb @ (a_obs @ ma - ma @ a_obs)))
     return value_a, value_b
-
-
-def classicality_probe(rho: DensityMatrix, probes: list[ProbePair]) -> tuple[float, int]:
-    """Largest commutator expectation |Tr(rho [A, B])| over the probe list.
-
-    Returns ``(max_violation, argmax_index)``. A nonzero violation witnesses
-    quantumness of ``rho``; zero only means these probes detected nothing,
-    never that the state is classical.
-    """
-    if len(probes) == 0:
-        raise ValueError("probe list is empty")
-    m = rho.matrix
-    best = -1.0
-    best_idx = 0
-    for idx, pair in enumerate(probes):
-        if pair.a.shape[0] != m.shape[0]:
-            raise LayoutError(
-                f"probe {idx} dimension {pair.a.shape[0]} does not match state {m.shape[0]}"
-            )
-        comm = pair.a @ pair.b - pair.b @ pair.a
-        violation = abs(complex(np.trace(m @ comm)))
-        if violation > best:
-            best = violation
-            best_idx = idx
-    return best, best_idx
-
-
-def gell_mann_basis(dim: int) -> list[np.ndarray]:
-    """Generalized Gell-Mann matrices: dim^2 - 1 traceless Hermitian matrices.
-
-    Standard construction (symmetric, antisymmetric and diagonal families),
-    normalized so Tr(g_i g_j) = 2 delta_ij. For dim = 2 these are the Pauli
-    matrices.
-    """
-    if dim < 2:
-        raise ValueError(f"dim must be >= 2, got {dim}")
-    basis = []
-    for j in range(dim):
-        for k in range(j + 1, dim):
-            sym = np.zeros((dim, dim), dtype=np.complex128)
-            sym[j, k] = sym[k, j] = 1.0
-            basis.append(sym)
-            anti = np.zeros((dim, dim), dtype=np.complex128)
-            anti[j, k] = -1j
-            anti[k, j] = 1j
-            basis.append(anti)
-    for level in range(1, dim):
-        diag = np.zeros((dim, dim), dtype=np.complex128)
-        diag[:level, :level] = np.eye(level)
-        diag[level, level] = -level
-        diag *= np.sqrt(2.0 / (level * (level + 1)))
-        basis.append(diag)
-    return basis
-
-
-def default_probe_pairs(dim: int) -> list[ProbePair]:
-    """All unordered pairs of generalized Gell-Mann observables.
-
-    Intended as the default finite probe set for small registers (the pair
-    count grows as dim^4 / 2; dims up to 4 stay near a hundred pairs).
-    """
-    basis = gell_mann_basis(dim)
-    return [ProbePair(a, b) for a, b in itertools.combinations(basis, 2)]

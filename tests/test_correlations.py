@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 import types
 import warnings
 
@@ -74,6 +75,24 @@ class TestTypes:
             BipartiteState(dm, 2, 3)
         with pytest.raises(LayoutError):
             BipartiteState(dm, 0, 4)
+
+    @pytest.mark.parametrize(
+        "dim_a, dim_b, message",
+        [
+            # 2.0 x 2.0 constructed, then the witness search raised numpy's
+            # TypeError; True stood in for 1.
+            (2.0, 2.0, "dim_a must be an integer, got 2.0"),
+            (2, np.float64(2.0), "dim_b must be an integer, got np.float64(2.0)"),
+            (True, 4, "dim_a must be an integer, got True"),
+            (4, True, "dim_b must be an integer, got True"),
+            ("2", 2, "dim_a must be an integer, got '2'"),
+        ],
+    )
+    def test_bipartite_split_follows_the_integer_rule(self, dim_a, dim_b, message):
+        dm = DensityMatrix(np.eye(4) / 4.0)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            BipartiteState(dm, dim_a, dim_b)
+        assert BipartiteState(dm, np.int64(2), np.uint8(2)).dim_a == 2
 
     def test_povm_element_hermiticity_and_psd(self):
         assert PovmElement(P0).dim == 2

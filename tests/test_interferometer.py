@@ -1,6 +1,7 @@
 """Permutation unitaries, cycle-trace expectations, fringe simulation and fits."""
 
 import itertools
+import re
 import warnings
 
 import numpy as np
@@ -76,6 +77,21 @@ class TestPermutationUnitary:
     def test_rejects_non_permutation(self):
         with pytest.raises(LayoutError, match="not a permutation"):
             PermutationUnitary(Q2, (0, 0))
+
+    @pytest.mark.parametrize(
+        "mapping, bad",
+        # int() made the swap (1, 0, 2, 3) of the first two.
+        [((1.9, 0, 2, 3), "1.9"), ((1.0, 0, 2, 3), "1.0"), ((True, False, 2, 3), "True"),
+         ((0, 1, 2, "3"), "'3'")],
+    )
+    def test_slots_follow_the_integer_rule(self, mapping, bad):
+        with pytest.raises(ValueError, match=re.escape(f"mapping slot must be an integer, got {bad}")):
+            PermutationUnitary(Q4, mapping)
+
+    def test_numpy_integer_slots_stored_as_python_ints(self):
+        perm = PermutationUnitary(Q4, np.array([1, 0, 2, 3]))
+        assert perm.mapping == (1, 0, 2, 3)
+        assert {type(s) for s in perm.mapping} == {int}
 
     def test_rejects_dim_incompatible_move(self):
         with pytest.raises(LayoutError, match="cannot move"):
@@ -268,6 +284,22 @@ class TestInterferometerSpec:
         kwargs = {"mode": "sampled", "shots_per_phase": 2, "seed": 0, field: bad}
         with pytest.raises(ValueError, match=message):
             InterferometerSpec(build_u1(Q4), self._inputs(), default_phase_grid(), **kwargs)
+
+    @pytest.mark.parametrize(
+        "mode, shots, message",
+        [
+            # The exact run ignored these counts and recorded shots 0.
+            ("exact", -5, "exact mode needs shots_per_phase 0, got -5"),
+            ("exact", 5, "exact mode needs shots_per_phase 0, got 5"),
+            ("exact", np.int64(1), "exact mode needs shots_per_phase 0, got 1"),
+            ("sampled", 0, "sampled mode needs shots_per_phase >= 1"),
+            ("sampled", -5, "sampled mode needs shots_per_phase >= 1"),
+        ],
+    )
+    def test_shot_count_must_fit_the_mode(self, mode, shots, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            InterferometerSpec(build_u1(Q4), self._inputs(), default_phase_grid(),
+                               mode=mode, shots_per_phase=shots)
 
     def test_largest_seed_and_numpy_integers_accepted(self):
         spec = InterferometerSpec(build_u1(Q4), self._inputs(), default_phase_grid(),
@@ -532,6 +564,26 @@ class TestInterferometricQuantumness:
         args = {"mode": "sampled", "shots": 10, "seed": 0, **kwargs}
         with pytest.raises(ValueError, match=message):
             interferometric_quantumness(rho, rho, **args)
+
+    @pytest.mark.parametrize(
+        "mode, shots, message",
+        [
+            # The exact run returned Q and ignored the count.
+            ("exact", -7, "exact mode needs shots_per_phase 0, got -7"),
+            ("exact", 7, "exact mode needs shots_per_phase 0, got 7"),
+            ("sampled", 0, "sampled mode needs shots_per_phase >= 1"),
+            ("sampled", -7, "sampled mode needs shots_per_phase >= 1"),
+        ],
+    )
+    def test_shot_count_must_fit_the_mode_before_any_run(self, mode, shots, message,
+                                                         monkeypatch):
+        def no_run(spec):
+            raise AssertionError("ran an experiment")
+
+        monkeypatch.setattr(interferometer, "run_interferometer", no_run)
+        rho = DensityMatrix(np.eye(2) / 2.0)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            interferometric_quantumness(rho, rho, mode=mode, shots=shots, seed=0)
 
     def test_largest_shot_count_accepted(self):
         rho = DensityMatrix(np.eye(2) / 2.0)

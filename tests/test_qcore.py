@@ -1,5 +1,6 @@
 """Core operator layer: validation, tensor algebra, partial trace, randomness."""
 
+import re
 import warnings
 
 import numpy as np
@@ -15,7 +16,6 @@ from qwitness.qcore import (
     RandomSpec,
     RegisterLayout,
     StateValidationError,
-    basis_ket,
     commutator_hs,
     conjugate_by_unitary,
     ginibre_state,
@@ -524,10 +524,20 @@ class TestLayoutAndKets:
         with pytest.raises(LayoutError):
             RegisterLayout((2, 0))
 
-    def test_basis_ket(self):
-        np.testing.assert_array_equal(basis_ket(1, 3), [0.0, 1.0, 0.0])
-        with pytest.raises(ValueError):
-            basis_ket(3, 3)
+    @pytest.mark.parametrize(
+        "dims, bad",
+        # int() made (2, 2) of the first and (1, 2) of the second.
+        [((2.5, 2), "2.5"), ((True, 2), "True"), ((2, 2.0), "2.0"),
+         ((2, np.float64(3.0)), "np.float64(3.0)"), (("2", 2), "'2'")],
+    )
+    def test_dims_follow_the_integer_rule(self, dims, bad):
+        with pytest.raises(ValueError, match=re.escape(f"local dimension must be an integer, got {bad}")):
+            RegisterLayout(dims)
+
+    def test_numpy_integer_dims_stored_as_python_ints(self):
+        layout = RegisterLayout((np.int64(2), np.uint8(3)))
+        assert layout == RegisterLayout((2, 3))
+        assert [type(d) for d in layout.dims] == [int, int]
 
     def test_pure_state_normalizes(self):
         state = pure_state(np.array([1.0, 1.0]))  # norm sqrt(2), rescaled

@@ -1,4 +1,4 @@
-"""Quantumness measure, witness observables, classicality probes."""
+"""Quantumness measure and witness observables."""
 
 import numpy as np
 import pytest
@@ -12,12 +12,8 @@ from qwitness.qcore import (
     pure_state,
 )
 from qwitness.witness import (
-    ProbePair,
     WitnessResult,
     _trace_terms,
-    classicality_probe,
-    default_probe_pairs,
-    gell_mann_basis,
     quantumness,
     witness_observables,
 )
@@ -232,66 +228,3 @@ class TestWitnessObservables:
             assert abs(va.real) <= 1e-12
             assert abs(vb.real) <= 1e-12
             assert va.imag == pytest.approx(-vb.imag, abs=1e-12)
-
-
-class TestClassicalityProbe:
-    def test_maximally_mixed_sees_nothing(self):
-        """Tr((I/d)[A,B]) is a trace of a commutator: identically zero."""
-        rho = DensityMatrix(np.eye(3) / 3.0)
-        violation, _ = classicality_probe(rho, default_probe_pairs(3))
-        assert violation == pytest.approx(0.0, abs=1e-12)
-
-    def test_plus_state_pauli_probe(self):
-        """[sy, sz] = 2i sx and <+|sx|+> = 1, so the violation is 2."""
-        plus = pure_state(np.array([1.0, 1.0]) / np.sqrt(2.0))
-        violation, _ = classicality_probe(plus, [ProbePair(SY, SZ)])
-        assert violation == pytest.approx(2.0, abs=1e-12)
-
-    def test_default_pairs_find_the_pauli_violation(self):
-        plus = pure_state(np.array([1.0, 1.0]) / np.sqrt(2.0))
-        violation, argmax = classicality_probe(plus, default_probe_pairs(2))
-        assert violation == pytest.approx(2.0, abs=1e-12)
-        assert argmax == 2  # pairs ordered (x,y), (x,z), (y,z)
-
-    def test_diagonal_state_diagonal_probes(self):
-        rho = DensityMatrix(np.diag([0.6, 0.3, 0.1]))
-        probes = [ProbePair(np.diag([1.0, 2.0, 3.0]), np.diag([0.0, 1.0, -1.0]))]
-        violation, _ = classicality_probe(rho, probes)
-        assert violation == 0.0
-
-    def test_empty_probe_list_raises(self):
-        with pytest.raises(ValueError, match="empty"):
-            classicality_probe(DensityMatrix(np.eye(2) / 2.0), [])
-
-    def test_probe_dim_mismatch_raises(self):
-        with pytest.raises(LayoutError):
-            classicality_probe(
-                DensityMatrix(np.eye(3) / 3.0), [ProbePair(SX, SY)]
-            )
-
-    def test_non_hermitian_probe_rejected(self):
-        with pytest.raises(ValueError, match="Hermitian"):
-            ProbePair(np.array([[0.0, 1.0], [0.0, 0.0]]), SX)
-
-
-class TestGellMannBasis:
-    @pytest.mark.parametrize("dim", [2, 3, 4])
-    def test_orthogonality_and_count(self, dim):
-        basis = gell_mann_basis(dim)
-        assert len(basis) == dim * dim - 1
-        for i, gi in enumerate(basis):
-            assert np.abs(gi - gi.conj().T).max() <= 1e-12
-            assert abs(np.trace(gi)) <= 1e-12
-            for j, gj in enumerate(basis):
-                expected = 2.0 if i == j else 0.0
-                assert np.trace(gi @ gj) == pytest.approx(expected, abs=1e-12)
-
-    def test_dim_two_is_pauli(self):
-        basis = gell_mann_basis(2)
-        np.testing.assert_allclose(basis[0], SX, atol=1e-15)
-        np.testing.assert_allclose(basis[1], SY, atol=1e-15)
-        np.testing.assert_allclose(basis[2], SZ, atol=1e-15)
-
-    def test_pair_count(self):
-        n = len(gell_mann_basis(3))
-        assert len(default_probe_pairs(3)) == n * (n - 1) // 2
