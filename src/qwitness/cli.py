@@ -134,6 +134,8 @@ def load_state(
     # error) with universal newlines, so error positions are unchanged.
     try:
         doc = json.loads(data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ValueError(f"{path}: {exc}") from None
     except RecursionError:  # a RuntimeError, which dispatch reports as exit 3
         raise ValueError(f"{path}: JSON nested too deeply to parse") from None
     if not isinstance(doc, dict):

@@ -368,54 +368,72 @@ def correlation_witness(
 
 @dataclass(frozen=True, eq=False)
 class _Refined:
-    """One refinement start's last accepted point and value, evaluations
-    made, and status 0 (converged) or 1 (evaluation budget spent)."""
+    """Starts refined together: per start, the last accepted point x, its
+    value fun, status 0 (converged) or 1 (evaluation budget spent), and the
+    first point at the lowest value evaluated, best_x, with that value
+    best_fun; nfev counts the evaluations of all starts."""
 
     x: np.ndarray
-    fun: float
+    fun: np.ndarray
+    status: np.ndarray
+    best_x: np.ndarray
+    best_fun: np.ndarray
     nfev: int
-    status: int
 
 
-def minimize(fun, x0, *, maxfev: int, gtol: float) -> _Refined:
-    """Minimize ``fun`` from ``x0`` with :func:`_bfgs`; ``fun(x)`` returns
-    the value and the gradient at x.
+def minimize(fun, x0, *, maxfev: int) -> _Refined:
+    """Minimize ``fun`` by :func:`_bfgs` from each row of ``x0``, on at most
+    ``maxfev`` evaluations per start, to the gradient tolerance REFINE_TOL.
 
-    :func:`maximize_witness` answers the requests of all its starts
-    together instead, one batched objective call per step.
+    The starts run in lockstep: each step makes one call ``fun(xs)`` on the
+    next points (n, dim) of the starts still running, in start order, which
+    returns their values (n,) and gradients (n, dim). A start's points
+    depend only on its row and the values sent back, so when ``fun`` gives
+    each row the bits it gets alone, every start ends as it does alone.
     """
-    run = _bfgs(x0, maxfev=maxfev, gtol=gtol)
-    x = next(run)
-    while True:
-        try:
-            x = run.send(fun(x))
-        except StopIteration as done:
-            return done.value
+    runs = [_bfgs(x, maxfev=maxfev) for x in x0]
+    pending = {i: next(run) for i, run in enumerate(runs)}  # start -> its next point
+    best = [(math.inf, x) for x in pending.values()]  # each start's first minimum
+    ends, nfev = [None] * len(runs), 0
+    while pending:
+        values, grads = fun(np.array(list(pending.values())))
+        nfev += len(pending)
+        for (i, x), f, g in zip(list(pending.items()), values.tolist(), grads):
+            if f < best[i][0]:
+                best[i] = (f, x)
+            try:
+                pending[i] = runs[i].send((f, g))
+            except StopIteration as done:
+                del pending[i]
+                ends[i] = done.value
+    x, f, status = (np.array(v) for v in zip(*ends))
+    best_fun, best_x = (np.array(v) for v in zip(*best))
+    return _Refined(x=x, fun=f, status=status, best_x=best_x, best_fun=best_fun, nfev=nfev)
 
 
-def _bfgs(x0, *, maxfev: int, gtol: float):
+def _bfgs(x0, *, maxfev: int):
     """Dense BFGS with Armijo backtracking, as a generator of the points to score.
 
     Nocedal & Wright, *Numerical Optimization*, 2nd ed. (2006): algorithm
     6.1 with the sufficient-decrease condition (3.4), c1 = 1e-4, halving
     the step from 1, and the first inverse Hessian scaled by (6.20). The
-    update is skipped when s.y <= 0. Yields each point, to be sent back
-    its (value, gradient); returns a :class:`_Refined`. Stops once every
-    gradient component is within ``gtol``, after ``maxfev`` evaluations,
-    or when the decrease a step predicts is below the value's rounding.
-    The points depend only on x0, the options and what is sent back.
+    update is skipped when s.y <= 0. Yields each point, to be sent back its
+    (value, gradient); returns (x, fun, status) as in :class:`_Refined`.
+    Stops once every gradient component is within REFINE_TOL, after
+    ``maxfev`` evaluations, or when a step's predicted decrease is below the
+    value's rounding. The points depend only on x0, maxfev and the replies.
     """
     x = np.array(x0, dtype=np.float64)
     f, g = yield x
     nfev, h = 1, None  # h, the inverse Hessian estimate, is I until updated
-    while np.abs(g).max() > gtol:
+    while np.abs(g).max() > REFINE_TOL:
         p = -g if h is None else -(h @ g)
         slope, t = float(g @ p), 1.0
         while True:
             if -t * slope <= 2.0**-52 * (1.0 + abs(f)):  # below f's rounding
-                return _Refined(x=x, fun=f, nfev=nfev, status=0)
+                return x, f, 0
             if nfev >= maxfev:
-                return _Refined(x=x, fun=f, nfev=nfev, status=1)
+                return x, f, 1
             x_new = x + t * p
             f_new, g_new = yield x_new
             nfev += 1
@@ -432,7 +450,7 @@ def _bfgs(x0, *, maxfev: int, gtol: float):
             hys = hy[:, None] * s  # np.outer(hy, s); its transpose is np.outer(s, hy)
             h -= (hys + hys.T) / sy
         x, f, g = x_new, f_new, g_new
-    return _Refined(x=x, fun=f, nfev=nfev, status=0)
+    return x, f, 0
 
 
 def _floored(probs: np.ndarray) -> np.ndarray:
@@ -597,16 +615,15 @@ def maximize_witness(
     """Maximize the conditional-state witness over rank-1 projectors on A.
 
     The coarse scan steers each ket of :func:`_scan_points` once and scores
-    every pair from the steered stack (:func:`_pair_scores`). BFGS
-    (:func:`_bfgs`) then refines from the best min(starts, max_evals) pairs
-    that share no ket, on max_evals // (their number) evaluations each, on
-    the unconstrained kets (Re k1, Im k1, Re k2, Im k2) with the analytic
-    gradient; the report scales each ket to unit norm. The starts run in
-    lockstep, one kernel call per step over those still running. The kernel
-    gives every point the bits it gets alone, so the result is that of
-    ``minimize`` on :func:`_refine_loss` from each start in turn: best_q is
-    the first maximum in the order scan, then each start's points.
-    Deterministic for a given config. Zero-probability outcomes score 0.
+    every pair from the steered stack (:func:`_pair_scores`). One
+    :func:`minimize` call then refines from the best min(starts, max_evals)
+    pairs that share no ket, on max_evals // (their number) evaluations
+    each, with :func:`_refine_loss` on the unconstrained kets (Re k1, Im k1,
+    Re k2, Im k2) and its analytic gradient; the report scales each ket to
+    unit norm. The kernel gives every point the bits it gets alone, so each
+    start ends as it does refined on its own. best_q is the first maximum in
+    the order scan, then each start's points. Deterministic for a given
+    config. Zero-probability outcomes score 0.
     """
     if config is None:
         config = OptimizerConfig()
@@ -621,38 +638,20 @@ def maximize_witness(
     best_q = float(board.max())
     pairs = _disjoint_pairs(board, min(config.starts, config.max_evals))
     starts = _ket_params(kets[np.array(pairs)])
-    best_x = starts[0]  # the scan optimum
-    trace = [(best_x, best_q)]
-
     maxfev = config.max_evals // len(starts)
-    runs = [_bfgs(x0, maxfev=maxfev, gtol=REFINE_TOL) for x0 in starts]
-    pending = {i: next(run) for i, run in enumerate(runs)}  # start -> its next point
-    peaks = [(-math.inf, None)] * len(runs)  # each start's first maximum
-    results = [None] * len(runs)
-    while pending:
-        losses, grads = _refine_loss(rho4, np.array(list(pending.values())))
-        for (i, x), f, g in zip(list(pending.items()), losses.tolist(), grads):
-            if -f > peaks[i][0]:
-                peaks[i] = (-f, x)
-            try:
-                pending[i] = runs[i].send((f, g))
-            except StopIteration as done:
-                del pending[i]
-                results[i] = done.value
-
-    for (q, x), res in zip(peaks, results):
+    res = minimize(lambda x: _refine_loss(rho4, x), starts, maxfev=maxfev)
+    values = [best_q, *(-res.fun).tolist()]  # the scan optimum's, then each end's
+    best_x = starts[0]  # the scan optimum
+    for q, x in zip((-res.best_fun).tolist(), res.best_x):
         if q > best_q:
             best_q, best_x = q, x
-        evaluations += res.nfev
-        trace.append((res.x, -res.fun))
-
-    kets = _param_kets(np.stack([best_x] + [x for x, _ in trace]))
+    kets = _param_kets(np.concatenate([[best_x, starts[0]], res.x]))
     kets /= np.linalg.norm(kets, axis=-1, keepdims=True)
     params = _ket_params(kets).tolist()
     return DiscordReport(
         best_q=best_q,
         best_params=tuple(params[0]),
         best_kets=tuple(kets[0]),
-        evaluations=evaluations,
-        trace=tuple((tuple(x), q) for x, (_, q) in zip(params[1:], trace)),
+        evaluations=evaluations + res.nfev,
+        trace=tuple((tuple(x), q) for x, q in zip(params[1:], values)),
     )

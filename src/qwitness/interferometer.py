@@ -150,11 +150,13 @@ def _cycles(mapping: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
 
 
 def generalized_swap(i: int, j: int, layout: RegisterLayout) -> PermutationUnitary:
-    """Transposition exchanging tensor factors ``i`` and ``j`` (0-based).
+    """Transposition exchanging tensor factors ``i`` and ``j`` (0-based
+    integers, never bool or float).
 
     Self-inverse; requires equal local dimensions at the two slots.
     """
     n = layout.n_factors
+    i, j = _check_int("i", i), _check_int("j", j)
     if not (0 <= i < n and 0 <= j < n):
         raise LayoutError(f"swap indices ({i}, {j}) out of range for {n} factors")
     if i == j:
@@ -394,9 +396,10 @@ class VisibilityEstimate:
 def default_phase_grid(n_phases: int = 8) -> tuple[float, ...]:
     """Equally spaced phases in [0, 2 pi); 8 points over-determine the fit.
 
-    Built once per size; the tuple is shared.
+    ``n_phases`` is an integer >= 3, never a bool or float. Built once per
+    size; the tuple is shared.
     """
-    if n_phases < 3:
+    if _check_int("n_phases", n_phases) < 3:
         raise ValueError("need at least 3 phases")
     return tuple(np.linspace(0.0, 2.0 * np.pi, n_phases, endpoint=False))
 

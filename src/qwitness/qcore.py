@@ -305,10 +305,11 @@ def tensor_product(a, b) -> np.ndarray:
 def partial_trace_operator(m, layout: RegisterLayout, keep) -> np.ndarray:
     """Partial trace of an arbitrary operator, keeping the listed factors.
 
-    ``keep`` is an iterable of 0-based factor indices; the kept factors stay
-    in their original relative order. ``keep = ()`` traces everything and
-    returns a 1x1 matrix holding the full trace. No state validation is
-    performed; see :func:`partial_trace` for the density-matrix version.
+    ``keep`` is an iterable of 0-based factor indices, integers (Python or
+    numpy, never bool or float); the kept factors stay in their original
+    relative order. ``keep = ()`` traces everything and returns a 1x1
+    matrix holding the full trace. No state validation is performed; see
+    :func:`partial_trace` for the density-matrix version.
     """
     m = _matrix_of(m)
     dims = layout.dims
@@ -317,7 +318,7 @@ def partial_trace_operator(m, layout: RegisterLayout, keep) -> np.ndarray:
             f"operator dimension {m.shape[0]} does not match layout "
             f"{dims} (total {layout.total_dim})"
         )
-    keep = sorted(set(int(k) for k in keep))
+    keep = sorted(set(_check_int("keep index", k) for k in keep))
     if any(k < 0 or k >= len(dims) for k in keep):
         raise LayoutError(f"keep indices {keep} out of range for {len(dims)} factors")
 

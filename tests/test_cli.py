@@ -215,9 +215,19 @@ class TestStateIO:
         path.write_bytes(raw)
         with pytest.raises(ValueError) as info:
             load_state(str(path))
-        assert str(info.value) == message
+        assert str(info.value) == f"{path}: {message}"
         code, _, err = run(capsys, ["witness", "--state-a", str(path), "--state-b", str(path)])
-        assert (code, err) == (2, f"qwitness witness: invalid input: {message}\n")
+        assert (code, err) == (2, f"qwitness witness: invalid input: {path}: {message}\n")
+
+    def test_parse_error_names_the_bad_file_of_two(self, tmp_path, capsys):
+        """With a valid --state-a, a --state-b that fails to parse is the
+        file the error names."""
+        good = state_path(tmp_path, "a.json", DensityMatrix(np.eye(2) / 2.0))
+        bad = tmp_path / "b.json"
+        bad.write_text('{"dim": 1,')
+        code, out, err = run(capsys, ["witness", "--state-a", good, "--state-b", str(bad)])
+        message = "Expecting property name enclosed in double quotes: line 1 column 11 (char 10)"
+        assert (code, out, err) == (2, "", f"qwitness witness: invalid input: {bad}: {message}\n")
 
     @pytest.mark.parametrize("command", ["witness", "discord"])
     def test_deeply_nested_file_is_data_error(self, tmp_path, capsys, command):

@@ -105,6 +105,18 @@ class TestPermutationUnitary:
         with pytest.raises(LayoutError):
             generalized_swap(0, 1, RegisterLayout((2, 3)))
 
+    @pytest.mark.parametrize(
+        "i, j, name, bad", [(0.0, 1.9, "i", 0.0), (0, 1.9, "j", 1.9), (True, 0, "i", True),
+                            (1, np.float64(0.0), "j", np.float64(0.0))]
+    )
+    def test_swap_indices_must_be_integers(self, i, j, name, bad):
+        message = f"{name} must be an integer, got {bad!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            generalized_swap(i, j, Q2)
+
+    def test_swap_takes_numpy_integer_indices(self):
+        assert generalized_swap(np.int64(0), np.int64(1), Q2).mapping == (1, 0)
+
     def test_matrix_is_unitary_permutation(self):
         rng = np.random.default_rng(1)
         for _ in range(10):
@@ -503,6 +515,16 @@ class TestDefaultPhaseGrid:
     def test_minimum_size(self):
         with pytest.raises(ValueError):
             default_phase_grid(2)
+
+    @pytest.mark.parametrize("n", [3.5, 8.0, np.float64(8.0), True, "8"])
+    def test_size_must_be_an_integer(self, n):
+        """Neither a float nor a bool (read as 1) is a grid size."""
+        message = f"n_phases must be an integer, got {n!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            default_phase_grid(n)
+
+    def test_numpy_integer_size(self):
+        assert default_phase_grid(np.int64(8)) == default_phase_grid(8)
 
 
 class TestInterferometricQuantumness:

@@ -375,6 +375,20 @@ class TestPartialTrace:
         with pytest.raises(LayoutError):
             partial_trace(state, RegisterLayout((2, 2)), keep=(2,))
 
+    @pytest.mark.parametrize("index", [0.7, 1.0, np.float64(0.0), True, "0"])
+    def test_keep_index_must_be_an_integer(self, index):
+        """A float is not truncated to a factor index, nor a bool read as one."""
+        state = DensityMatrix(np.diag([0.7, 0.1, 0.1, 0.1]))
+        message = f"keep index must be an integer, got {index!r}"
+        for keep in ([index], [0, index]):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                partial_trace(state, RegisterLayout((2, 2)), keep)
+
+    def test_numpy_integer_keep_index(self):
+        state = DensityMatrix(np.diag([0.7, 0.1, 0.1, 0.1]))
+        reduced = partial_trace(state, RegisterLayout((2, 2)), [np.int64(1)])
+        np.testing.assert_allclose(reduced.matrix, np.diag([0.8, 0.2]), atol=1e-15)
+
     def test_operator_level_variant_keeps_unnormalized_trace(self):
         # scaled input stays scaled: the operator path does not renormalize
         out = partial_trace_operator(np.eye(4) * 0.5, RegisterLayout((2, 2)), keep=(0,))
