@@ -19,11 +19,14 @@ Every term needs only the two products P = rho_a rho_b and P' = rho_b rho_a:
 
 which hold for any square matrices by cyclicity of the trace. For exactly
 Hermitian inputs P' = P^dag, so v1 = ||P||_F^2 and one product suffices;
-the batched discord kernel uses that form for its search objective. A
-validated state may deviate from Hermiticity by up to ATOL_STRUCT, and
-||P||_F^2 then moves by first order in that deviation (4 (v1 - v2) can
-miss the direct norm by more than 1e-10), whereas Re sum P_ij P'_ji keeps
-the first-order error cancelled, so ``quantumness`` uses P'.
+the batched discord kernel uses that form (``_trace_terms``) for its
+search objective. A validated state may deviate from Hermiticity by up to
+ATOL_STRUCT, and ||P||_F^2 then moves by first order in that deviation
+(4 (v1 - v2) can miss the direct norm by more than 1e-10), whereas
+Re sum P_ij P'_ji keeps the first-order error cancelled, so
+``quantumness`` uses P'. It reduces each sum as one BLAS dot product of
+the raveled P against the raveled transpose of P' or P, and the direct
+norm as the dot of the raveled commutator with its conjugate.
 
 Useful closed forms (used as oracles in the test suite):
 
@@ -80,20 +83,15 @@ class WitnessResult:
                 raise ValueError("q_value inconsistent with 4 (v1 - v2)")
 
 
-def _trace_terms(ab: np.ndarray,
-                 ba: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """(v1, v2) = (Tr(a^2 b^2), Tr((ab)^2)) of products of shape (..., d, d).
+def _trace_terms(ab: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(v1, v2) = (Tr(a^2 b^2), Tr((ab)^2)) of products ab of shape (..., d, d),
+    for exactly Hermitian a and b: the batched discord kernel's form.
 
-    v2 = Re sum_ij ab_ij ab_ji, reduced over the last two axes. Given
-    ba = b a, v1 = Re sum_ij ab_ij ba_ji, exact for any a and b. Without
-    it, v1 = sum |ab|^2, which equals Tr(a^2 b^2) only when (ab)^dag = ba,
-    i.e. for exactly Hermitian a and b: pass ba for states that are
-    Hermitian only to within ATOL_STRUCT.
+    v1 = sum |ab|^2 and v2 = Re sum_ij ab_ij ab_ji, reduced over the last
+    two axes. v1 equals Tr(a^2 b^2) only when (ab)^dag = ba; ``quantumness``,
+    whose states are Hermitian only to within ATOL_STRUCT, forms ba instead.
     """
-    if ba is None:
-        v1 = (np.abs(ab) ** 2).sum(axis=(-2, -1))
-    else:
-        v1 = np.einsum("...ij,...ji->...", ab, ba).real
+    v1 = (np.abs(ab) ** 2).sum(axis=(-2, -1))
     v2 = np.einsum("...ij,...ji->...", ab, ab).real
     return v1, v2
 
@@ -104,8 +102,16 @@ def quantumness(rho_a: DensityMatrix, rho_b: DensityMatrix,
 
     ``method="direct_norm"`` evaluates 2 ||ab - ba||^2 from the commutator;
     ``method="trace_formula"`` evaluates 4 (Tr(a^2 b^2) - Tr((a b)^2)).
-    Both share the products ab and ba with the trace terms. The two agree
-    to ~1e-10 and Q = 0 iff the states commute.
+    Both form the products ab and ba once and reduce each term with one
+    BLAS dot product over the raveled operands. The two agree to ~1e-10
+    and Q = 0 iff the states commute.
+
+    ``ba`` is formed as ``mb @ ma``, not as ``(ma.T @ mb.T).T``: only the
+    former keeps Q(rho, rho) exactly 0.0, since then ab and ba are the
+    same product bit for bit. OpenBLAS (0.3.31) splits a dot product across
+    threads above 10,000 entries, so the bits do not depend on the BLAS
+    thread count for d <= 100; above that, they repeat for a fixed thread
+    count only.
     """
     ma, mb = rho_a.matrix, rho_b.matrix
     if ma.shape != mb.shape:
@@ -113,9 +119,12 @@ def quantumness(rho_a: DensityMatrix, rho_b: DensityMatrix,
     if method not in ("direct_norm", "trace_formula"):
         raise ValueError(f"unknown method {method!r}; use 'direct_norm' or 'trace_formula'")
     ab, ba = ma @ mb, mb @ ma
-    v1, v2 = (float(t) for t in _trace_terms(ab, ba))
+    flat = ab.ravel()
+    v1 = float(np.dot(flat, ba.T.ravel()).real)
+    v2 = float(np.dot(flat, ab.T.ravel()).real)
     if method == "direct_norm":
-        q = 2.0 * float((np.abs(ab - ba) ** 2).sum())
+        c = (ab - ba).ravel()
+        q = 2.0 * float(np.vdot(c, c).real)
     else:
         q = 4.0 * (v1 - v2)
     return WitnessResult(q_value=q, v1_term=v1, v2_term=v2, method=method)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from qwitness.qcore import (
+    ATOL_STRUCT,
     DensityMatrix,
     LayoutError,
     commutator_hs,
@@ -34,11 +35,15 @@ def random_pure_ket(dim, rng):
 
 
 class TestQuantumness:
-    def test_state_with_itself_is_zero(self):
-        rng = np.random.default_rng(0)
-        rho = ginibre_state(3, 2, rng)
-        res = quantumness(rho, rho)
-        assert res.q_value == pytest.approx(0.0, abs=1e-12)
+    @pytest.mark.parametrize("method", ["direct_norm", "trace_formula"])
+    @pytest.mark.parametrize("dim", [1, 2, 3, 5, 16, 64, 128])
+    def test_state_with_itself_is_zero(self, dim, method):
+        """Exactly 0.0: ab and ba are then the same product bit for bit, so
+        the commutator and v1 - v2 cancel exactly."""
+        rng = np.random.default_rng(dim)
+        for rank in (1, 2, 3, 4):
+            rho = ginibre_state(dim, rank, rng)
+            assert quantumness(rho, rho, method=method).q_value == 0.0
 
     def test_maximally_incompatible_projectors(self):
         """|0><0| against |+><+| sits at the top of the measure: overlap
@@ -131,7 +136,52 @@ def ginibre_pairs(seed):
                 yield ginibre_state(dim, rank_a, rng), ginibre_state(dim, rank_b, rng)
 
 
+def with_skew(rho, rng):
+    """rho plus an anti-Hermitian part whose largest entry is 0.4 ATOL_STRUCT,
+    zero on the diagonal so the trace stays 1 (none at d = 1)."""
+    d = rho.dim
+    if d == 1:
+        return rho
+    k = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    k = k - k.conj().T
+    np.fill_diagonal(k, 0.0)
+    return DensityMatrix(rho.matrix + 0.4 * ATOL_STRUCT * k / np.abs(k).max())
+
+
+def loop_trace_terms(a, b):
+    """v1 = sum_ij (ab)_ij (ba)_ji and v2 = sum_ij (ab)_ij (ab)_ji, one term
+    at a time."""
+    ab, ba = (a @ b).tolist(), (b @ a).tolist()
+    d = len(ab)
+    v1 = sum(ab[i][j] * ba[j][i] for i in range(d) for j in range(d))
+    v2 = sum(ab[i][j] * ab[j][i] for i in range(d) for j in range(d))
+    return v1.real, v2.real
+
+
 class TestTraceTermKernel:
+    @pytest.mark.parametrize("skew", [False, True])
+    @pytest.mark.parametrize("dim", [*range(1, 17), 64, 128])
+    def test_matches_the_loop_reference(self, dim, skew):
+        """A sum of n products whose moduli add up to at most 1 errs by at
+        most ~n eps (Higham, 2002, sec. 3.1). Both sides sum n = d^2 terms,
+        so 8 d^2 eps bounds the gap with room to spare."""
+        tol = 8 * dim * dim * np.finfo(np.float64).eps
+        rng = np.random.default_rng([dim, skew])
+        for rank_a, rank_b in ((1, dim), (dim, 1), ((dim + 1) // 2, dim)):
+            rho_a, rho_b = ginibre_state(dim, rank_a, rng), ginibre_state(dim, rank_b, rng)
+            if skew:
+                rho_a, rho_b = with_skew(rho_a, rng), with_skew(rho_b, rng)
+            a, b = rho_a.matrix, rho_b.matrix
+            v1, v2 = loop_trace_terms(a, b)
+            direct = quantumness(rho_a, rho_b, method="direct_norm")
+            traced = quantumness(rho_a, rho_b, method="trace_formula")
+            for res in (direct, traced):
+                assert res.v1_term == pytest.approx(v1, abs=tol)
+                assert res.v2_term == pytest.approx(v2, abs=tol)
+            assert direct.q_value == pytest.approx(2.0 * commutator_hs(a, b)[1], abs=tol)
+            assert traced.q_value == pytest.approx(4.0 * (v1 - v2), abs=4 * tol)
+            assert traced.q_value == pytest.approx(direct.q_value, abs=1e-10)
+
     def test_matches_the_multi_product_reference(self):
         """quantumness forms ab and ba once; the reference is the arithmetic
         it replaced: Tr(a (ab) b), Tr((ab)(ab)) and 2 ||ab - ba||^2."""
