@@ -132,9 +132,11 @@ def load_state(
         data = _read(path)
     # Decoded as text-mode open() did: strict UTF-8 (a BOM stays a JSON
     # error) with universal newlines, so error positions are unchanged.
+    # UnicodeDecodeError and JSONDecodeError are ValueErrors, as is the
+    # error for an integer literal beyond Python's digit limit.
     try:
         doc = json.loads(data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
     except RecursionError:  # a RuntimeError, which dispatch reports as exit 3
         raise ValueError(f"{path}: JSON nested too deeply to parse") from None

@@ -44,7 +44,7 @@ from .qcore import (
     pure_state,
     tensor_product,
 )
-from .witness import _trace_terms, quantumness
+from .witness import quantumness
 
 __all__ = [
     "PROB_FLOOR",
@@ -108,10 +108,12 @@ class BipartiteState:
         _check_int("dim_b", self.dim_b)
         if self.dim_a < 1 or self.dim_b < 1:
             raise LayoutError("subsystem dimensions must be positive")
-        if self.dim_a * self.dim_b != self.state.dim:
+        product = self.dim_a * self.dim_b
+        if product != self.state.dim:
+            # str() refuses an int of more than 4,300 digits (a ValueError).
+            shown = product if product.bit_length() < 14_000 else "an integer of 4,200+ digits"
             raise LayoutError(
-                f"dim_a * dim_b = {self.dim_a * self.dim_b} does not match "
-                f"total dim {self.state.dim}"
+                f"dim_a * dim_b = {shown} does not match total dim {self.state.dim}"
             )
 
 
@@ -451,6 +453,19 @@ def _bfgs(x0, *, maxfev: int):
             h -= (hys + hys.T) / sy
         x, f, g = x_new, f_new, g_new
     return x, f, 0
+
+
+def _trace_terms(ab: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(v1, v2) = (Tr(a^2 b^2), Tr((ab)^2)) of products ab of shape (..., d, d),
+    for exactly Hermitian a and b: the form of the batched discord kernels.
+
+    v1 = sum |ab|^2 and v2 = Re sum_ij ab_ij ab_ji, reduced over the last
+    two axes. v1 equals Tr(a^2 b^2) only when (ab)^dag = ba; ``quantumness``,
+    whose states are Hermitian only to within ATOL_STRUCT, forms ba instead.
+    """
+    v1 = (np.abs(ab) ** 2).sum(axis=(-2, -1))
+    v2 = np.einsum("...ij,...ji->...", ab, ab).real
+    return v1, v2
 
 
 def _floored(probs: np.ndarray) -> np.ndarray:

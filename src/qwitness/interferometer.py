@@ -38,14 +38,15 @@ is built once per process and shared: the cascade permutation per layout
 (:func:`build_u1`, :func:`build_u2`), the cycle decomposition per mapping,
 :func:`default_phase_grid` per size and, per phase grid (keyed by the
 bytes of its float64 phases), one fit basis holding the distinct-point
-count, ``exp(1j * phases)``, the design matrix ``[1, cos, sin]``,
-``inv(design.T @ design)`` and its product with ``design.T``. These are
-the expressions a fit would otherwise evaluate on every call, in the same
+count, ``exp(1j * phases)`` and the fit's one least-squares operator, the
+pseudo-inverse of the design matrix ``[1, cos, sin]``, from which a fit
+takes both its coefficients and their covariance. These are the
+expressions a fit would otherwise evaluate on every call, in the same
 order, so sharing them moves no bit of a fringe value or a fit. Each
 cache has a fixed size and holds immutable values or read-only arrays:
-at the CLI's ``--phases`` ceiling of 2^16 a fit basis is ~4.5 MB and a
+at the CLI's ``--phases`` ceiling of 2^16 a fit basis is ~3.0 MB and a
 phase grid ~2.0 MB (traced allocations), so the grid and basis caches
-hold at most ~26 MB; the permutations are a few hundred bytes each.
+hold at most ~20 MB; the permutations are a few hundred bytes each.
 """
 
 from __future__ import annotations
@@ -303,9 +304,9 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
 
 class _FitBasis:
     """What one phase grid alone fixes, shared by every spec and fringe on
-    it; every array is read-only. ``gram_inv`` and ``proj`` are built by
-    the first sampled fit: an exact fit never needs them, and on a grid
-    whose design has dependent columns ``inv`` raises."""
+    it; every array is read-only. ``solve``, the pseudo-inverse of the
+    design ``[1, cos, sin]``, gives a fringe's least-squares coefficients,
+    ``solve @ p0``, and their covariance, ``(solve * var) @ solve.T``."""
 
     def __init__(self, key: bytes):
         phases = np.frombuffer(key, dtype=np.float64)
@@ -315,18 +316,8 @@ class _FitBasis:
         # imports numpy.ma, ~15 ms.
         self.n_distinct = len(set(np.round(np.mod(phases, 2.0 * np.pi), 12).tolist()))
         self.rotors = _read_only(np.exp(1j * phases))
-        self.design = _read_only(
-            np.column_stack([np.ones(len(phases)), np.cos(phases), np.sin(phases)])
-        )
-
-    @functools.cached_property
-    def gram_inv(self) -> np.ndarray:
-        return _read_only(np.linalg.inv(self.design.T @ self.design))
-
-    @functools.cached_property
-    def proj(self) -> np.ndarray:
-        """``gram_inv @ design.T``, the left factor of the fit covariance."""
-        return _read_only(self.gram_inv @ self.design.T)
+        design = np.column_stack([np.ones(len(phases)), np.cos(phases), np.sin(phases)])
+        self.solve = _read_only(np.linalg.pinv(design))
 
 
 @functools.lru_cache(maxsize=_GRIDS_CACHED)
@@ -339,7 +330,9 @@ def _fit_basis(key: bytes) -> _FitBasis:
 class FringeData:
     """Interference scan: p0 per phase setting, with shot counts.
 
-    ``shots[k] == 0`` marks an exact (noiseless) value.
+    ``shots[k] == 0`` marks an exact (noiseless) value. Shot counts follow
+    the integer rule of the other counts: an array of integer dtype (not
+    bool, not float), each entry in [0, 2^63 - 1].
     """
 
     phases: np.ndarray
@@ -349,7 +342,13 @@ class FringeData:
     def __post_init__(self):
         phases = np.asarray(self.phases, dtype=np.float64)
         p0 = np.asarray(self.p0, dtype=np.float64)
-        shots = np.asarray(self.shots, dtype=np.int64)
+        shots = np.asarray(self.shots)
+        # A Python int beyond int64 makes an object array; the bounds are
+        # compared as Python ints, exactly at any dtype.
+        if shots.size and (shots.dtype.kind not in "iu" or int(shots.min()) < 0
+                           or int(shots.max()) > _SHOTS_MAX):
+            raise ValueError(f"shots must be integers in [0, {_SHOTS_MAX}]")
+        shots = shots.astype(np.int64, copy=False)
         if not (phases.shape == p0.shape == shots.shape) or phases.ndim != 1:
             raise ValueError("phases, p0 and shots must be 1-d arrays of equal length")
         if not np.isfinite(phases).all():
@@ -435,34 +434,33 @@ def run_interferometer(spec: InterferometerSpec) -> FringeData:
 def extract_visibility(fringes: FringeData) -> VisibilityEstimate:
     """Least-squares fit of p0(phi) = (1 + v cos(phi + alpha)) / 2.
 
-    The model is linear in (v cos alpha, v sin alpha), so the fit is a
-    closed-form ordinary least squares solve: exact on noiseless fringes.
-    For sampled fringes the per-point binomial variance p (1 - p) / shots
-    is propagated through the linear solve to ``stderr_v``. A sampled
-    frequency of 0 or 1 has no spread of its own, so its variance is taken
-    at p clipped to [1 / (2 shots), 1 - 1 / (2 shots)]; every other
-    frequency k / shots already lies in that range.
+    The model is linear in (v cos alpha, v sin alpha), so the fit is one
+    product with the grid's cached pseudo-inverse of the design matrix:
+    exact on noiseless fringes, minimum-norm on a rank-deficient grid in
+    either mode. For sampled fringes the per-point binomial variance
+    p (1 - p) / shots is propagated through that operator to ``stderr_v``.
+    A sampled frequency of 0 or 1 has no spread of its own, so its
+    variance is taken at p clipped to [1 / (2 shots), 1 - 1 / (2 shots)];
+    every other frequency k / shots already lies in that range.
     """
     basis = _fit_basis(fringes.phases.tobytes())
     if basis.n_distinct < 3:
         raise ValueError("degenerate phase grid: need >= 3 distinct phases (mod 2 pi)")
-    design = basis.design
-    coef, *_ = np.linalg.lstsq(design, fringes.p0, rcond=None)
-    _, c1, c2 = coef
+    solve = basis.solve
+    _, c1, c2 = solve @ fringes.p0
     r = float(np.hypot(c1, c2))
     v = 2.0 * r
     alpha = float(np.arctan2(-c2, c1))
     if alpha <= -np.pi:  # atan2 returns [-pi, pi]; fold the closed end
         alpha = np.pi
     stderr_v = 0.0
-    if np.any(fringes.shots > 0):
+    active = fringes.shots > 0
+    if active.any():
         var = np.zeros(len(fringes))
-        active = fringes.shots > 0
         n = fringes.shots[active]
         p = np.clip(fringes.p0[active], 0.5 / n, 1.0 - 0.5 / n)
         var[active] = p * (1.0 - p) / n
-        cov = basis.proj @ (var[:, None] * design) @ basis.gram_inv
-        cc = cov[1:, 1:]
+        cc = (solve[1:] * var) @ solve[1:].T
         if r > 1e-15:
             grad = 2.0 * np.array([c1, c2]) / r
             stderr_v = float(np.sqrt(max(grad @ cc @ grad, 0.0)))

@@ -19,14 +19,15 @@ Every term needs only the two products P = rho_a rho_b and P' = rho_b rho_a:
 
 which hold for any square matrices by cyclicity of the trace. For exactly
 Hermitian inputs P' = P^dag, so v1 = ||P||_F^2 and one product suffices;
-the batched discord kernel uses that form (``_trace_terms``) for its
-search objective. A validated state may deviate from Hermiticity by up to
-ATOL_STRUCT, and ||P||_F^2 then moves by first order in that deviation
-(4 (v1 - v2) can miss the direct norm by more than 1e-10), whereas
-Re sum P_ij P'_ji keeps the first-order error cancelled, so
-``quantumness`` uses P'. It reduces each sum as one BLAS dot product of
-the raveled P against the raveled transpose of P' or P, and the direct
-norm as the dot of the raveled commutator with its conjugate.
+the batched discord kernels use that form (``correlations._trace_terms``)
+for their search objective. A validated state may deviate from
+Hermiticity by up to ATOL_STRUCT, and ||P||_F^2 then moves by first order
+in that deviation (4 (v1 - v2) can miss the direct norm by more than
+1e-10), whereas Re sum P_ij P'_ji keeps the first-order error
+cancelled, so ``quantumness`` uses P'. It reduces each sum as one BLAS
+dot product of the raveled P against the raveled transpose of P' or P,
+and the direct norm as the dot of the raveled commutator with its
+conjugate.
 
 Useful closed forms (used as oracles in the test suite):
 
@@ -81,19 +82,6 @@ class WitnessResult:
                 )
             if abs(self.q_value - 4.0 * (self.v1_term - self.v2_term)) > ATOL_STRUCT:
                 raise ValueError("q_value inconsistent with 4 (v1 - v2)")
-
-
-def _trace_terms(ab: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(v1, v2) = (Tr(a^2 b^2), Tr((ab)^2)) of products ab of shape (..., d, d),
-    for exactly Hermitian a and b: the batched discord kernel's form.
-
-    v1 = sum |ab|^2 and v2 = Re sum_ij ab_ij ab_ji, reduced over the last
-    two axes. v1 equals Tr(a^2 b^2) only when (ab)^dag = ba; ``quantumness``,
-    whose states are Hermitian only to within ATOL_STRUCT, forms ba instead.
-    """
-    v1 = (np.abs(ab) ** 2).sum(axis=(-2, -1))
-    v2 = np.einsum("...ij,...ji->...", ab, ab).real
-    return v1, v2
 
 
 def quantumness(rho_a: DensityMatrix, rho_b: DensityMatrix,

@@ -194,6 +194,21 @@ class TestStateIO:
         assert code == 2
         assert f"{path}: {message}" in err
 
+    @pytest.mark.parametrize("key", ["dim", "note"])
+    def test_integer_beyond_the_digit_limit_is_data_error(self, tmp_path, capsys, key):
+        """json.loads refuses an integer literal of more than 4,300 digits
+        with a plain ValueError, wherever it stands; the error names the file."""
+        path = tmp_path / "a.json"
+        doc = {"dim": 1, "re": [[1]], "im": [[0]]}
+        path.write_text(json.dumps(doc).replace("}", f', "{key}": 1{"0" * 5000}}}'))
+        with pytest.raises(ValueError) as info:
+            load_state(str(path))
+        assert str(info.value).startswith(f"{path}: Exceeds the limit (4300 digits)")
+        code, out, err = run(capsys, ["witness", "--state-a", str(path), "--state-b", str(path)])
+        assert (code, out) == (2, "")
+        assert err.startswith(f"qwitness witness: invalid input: {path}: Exceeds the limit")
+        assert err.count("\n") == 1
+
     @pytest.mark.parametrize(
         "raw, message",
         [
@@ -242,6 +257,109 @@ class TestStateIO:
         code, out, err = run(capsys, argv)
         message = f"{path}: JSON nested too deeply to parse"
         assert (code, out, err) == (2, "", f"qwitness {command}: invalid input: {message}\n")
+
+
+# Raw JSON tokens for fuzzed state files: numbers json reads (NaN and the
+# infinities among them), integers up to and past Python's 4,300-digit
+# conversion limit, and values of every other JSON type.
+FUZZ_SCALARS = (
+    st.sampled_from([
+        "0", "1", "-1", "2", "0.5", "-0.0", "1e-7", "1e308", "1e999", "5e-324",
+        "NaN", "Infinity", "-Infinity", "true", "false", "null", '"1"', '"\\u00e9"',
+        "{}", "1" + "0" * 400, "1" + "0" * 2200, "9" * 4300, "1" + "0" * 4300,
+    ])
+    | st.integers(-3, 4).map(str)
+    | st.floats().map(json.dumps)
+)
+FUZZ_VALUES = st.recursive(
+    FUZZ_SCALARS,
+    lambda inner: (
+        st.lists(inner, max_size=3).map(lambda items: "[" + ", ".join(items) + "]")
+        | st.tuples(st.sampled_from(['"dim"', '"re"', '"x"']), inner).map(
+            lambda kv: "{" + ": ".join(kv) + "}")
+    ),
+    max_leaves=12,
+) | st.sampled_from([40, 5000, 100_000]).map(lambda n: "[" * n + "0" + "]" * n)
+
+
+def json_rows(rows):
+    """A list of rows of JSON tokens (or numbers) as JSON text."""
+    return "[" + ", ".join("[" + ", ".join(map(str, row)) + "]" for row in rows) + "]"
+
+
+@st.composite
+def state_files(draw):
+    """The bytes of a state file: a valid maximally mixed state at d 1-3
+    with up to three mutations, each replacing a field or one matrix entry
+    with fuzzed JSON, adding dims, dropping a key, changing the newlines,
+    adding a BOM, a non-UTF-8 note or a huge integer, or cutting the text.
+    Each mutation is an index, so that hypothesis shrinks towards fewer."""
+    d = draw(st.integers(1, 3))
+    re_rows = (np.eye(d) / d).tolist()
+    im_rows = np.zeros((d, d)).tolist()
+    fields = {"dim": str(d), "re": None, "im": None}
+    sep, prefix, note, cut = ", ", b"", b"", False
+    for kind in draw(st.lists(st.integers(0, 10), max_size=3)):
+        if kind == 0:  # one matrix entry
+            rows = re_rows if draw(st.booleans()) else im_rows
+            rows[draw(st.integers(0, d - 1))][draw(st.integers(0, d - 1))] = draw(FUZZ_SCALARS)
+        elif kind == 1:  # a whole field
+            fields[draw(st.sampled_from(["dim", "re", "im", "dims"]))] = draw(FUZZ_VALUES)
+        elif kind == 2:  # rows of fuzzed entries
+            rows = draw(st.lists(st.lists(FUZZ_SCALARS, max_size=3), max_size=3))
+            fields[draw(st.sampled_from(["re", "im", "dims"]))] = json_rows(rows)
+        elif kind == 3:
+            fields["dims"] = draw(st.sampled_from([f"[1, {d}]", f"[{d}, 1]", "[2, 2]"]))
+        elif kind == 4:
+            fields.pop(draw(st.sampled_from(["dim", "re", "im"])), None)
+        elif kind == 5:
+            sep = draw(st.sampled_from([",\n", ",\r\n", ",\r"]))
+        elif kind == 6:
+            prefix = b"\xef\xbb\xbf"
+        elif kind in (7, 8):
+            note = b', "note": "\xff"' if kind == 7 else b', "note": 1' + b"0" * 4300
+        elif kind == 9:
+            cut = True
+        else:  # each printable, but not the product of the two dims
+            big = "1" + "0" * 2200
+            key, value = draw(st.sampled_from(
+                [("dim", "1" + "0" * 4299), ("dim", "-" + "9" * 4300), ("dims", f"[{big}, {big}]")]))
+            fields[key] = value
+    for key, rows in (("re", re_rows), ("im", im_rows)):
+        if key in fields and fields[key] is None:
+            fields[key] = json_rows(rows)
+    text = "{" + sep.join(f'"{key}": {value}' for key, value in fields.items())
+    raw = prefix + text.encode() + note + b"}"
+    return raw[: draw(st.integers(0, len(raw)))] if cut else raw
+
+
+class TestStateFileFuzz:
+    @settings(derandomize=True, database=None, max_examples=200, deadline=None)
+    @given(raw=state_files(), method=st.sampled_from(["direct", "trace", "interfere"]))
+    def test_any_state_file_is_a_report_or_a_data_error_naming_it(self, raw, method):
+        """witness on a fuzzed file as both states: dispatch returns, never
+        raises; a data error (exit 2) is one stderr line that names the file
+        first; a success writes a report whose floats are all finite."""
+        with tempfile.TemporaryDirectory() as workdir:
+            path = os.path.join(workdir, "s.json")
+            out = os.path.join(workdir, "r.json")
+            with open(path, "wb") as fh:
+                fh.write(raw)
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                code = dispatch(["witness", "--state-a", path, "--state-b", path,
+                                 "--method", method, "--out", out])
+            err = err.getvalue()
+            assert code in (0, 2), err
+            if code == 2:
+                assert err.count("\n") == 1 and err.endswith("\n")
+                assert err.startswith(f"qwitness witness: invalid input: {path}: ")
+            else:
+                assert err == ""
+                with open(out, encoding="utf-8") as fh:
+                    doc = json.loads(fh.read(), parse_constant=lambda name: pytest.fail(name))
+                assert all(math.isfinite(v) for v in doc["results"].values()
+                           if isinstance(v, float))
 
 
 JSON_FLOATS = (

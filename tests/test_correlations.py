@@ -73,6 +73,9 @@ class TestTypes:
         assert BipartiteState(dm, 2, 2).dim_b == 2
         with pytest.raises(LayoutError, match="does not match"):
             BipartiteState(dm, 2, 3)
+        # The product has more digits than str() converts.
+        with pytest.raises(LayoutError, match=r"^dim_a \* dim_b = an integer of 4,200\+ digits"):
+            BipartiteState(dm, 10**2200, 10**2200)
         with pytest.raises(LayoutError):
             BipartiteState(dm, 0, 4)
 

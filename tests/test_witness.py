@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from qwitness.correlations import _trace_terms
 from qwitness.qcore import (
     ATOL_STRUCT,
     DensityMatrix,
@@ -14,7 +15,6 @@ from qwitness.qcore import (
 )
 from qwitness.witness import (
     WitnessResult,
-    _trace_terms,
     quantumness,
     witness_observables,
 )
