@@ -267,8 +267,10 @@ class DiscordReport:
     threshold = VERDICT_THRESHOLD
 
     def __post_init__(self):
-        if self.best_q < 0.0:
+        if not self.best_q >= 0.0:  # NaN fails it too
             raise ValueError("best_q must be nonnegative")
+        # Copies: freezing them leaves the caller's kets writable.
+        object.__setattr__(self, "best_kets", tuple(np.array(k) for k in self.best_kets))
         for k in self.best_kets:
             k.setflags(write=False)
 

@@ -13,10 +13,10 @@ which gives the outcome-0 probability
 The fringe visibility v and phase alpha defined by Tr(U rho) = v e^{i alpha}
 are recovered from a phase scan by linear least squares. Gate order and the
 sign of the phase gate are a convention of this module; any variant differing
-by phi -> -phi or a constant offset changes alpha, never v. Phases must be
-finite: :class:`InterferometerSpec` and :class:`FringeData` reject a NaN or
-infinite phase, and :class:`FringeData` a NaN probability or one outside
-[0, 1], so no such value reaches the fit.
+by phi -> -phi or a constant offset changes alpha, never v. A phase grid
+is fitted only if its phases are finite and its design ``[1, cos, sin]``
+has numerical rank 3 (one rule, in the grid's fit basis); :class:`FringeData`
+also rejects a NaN probability or one outside [0, 1].
 
 Two cascades of pairwise swaps turn this interference pattern into the
 trace functionals behind the quantumness measure: on the four-copy register
@@ -37,10 +37,10 @@ What depends only on the setting, never on the states or the fringe data,
 is built once per process and shared: the cascade permutation per layout
 (:func:`build_u1`, :func:`build_u2`), the cycle decomposition per mapping,
 :func:`default_phase_grid` per size and, per phase grid (keyed by the
-bytes of its float64 phases), one fit basis holding the distinct-point
-count, ``exp(1j * phases)`` and the fit's one least-squares operator, the
-pseudo-inverse of the design matrix ``[1, cos, sin]``, from which a fit
-takes both its coefficients and their covariance. These are the
+bytes of its float64 phases), one fit basis holding ``exp(1j * phases)``
+and the fit's one least-squares operator, the pseudo-inverse of the
+design matrix, from which a fit takes its coefficients and their
+covariance; a grid that fails the rule is not cached. These are the
 expressions a fit would otherwise evaluate on every call, in the same
 order, so sharing them moves no bit of a fringe value or a fit. Each
 cache has a fixed size and holds immutable values or read-only arrays:
@@ -53,7 +53,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -261,6 +260,7 @@ class InterferometerSpec:
     derived from ``(seed, phase index)``, so per-phase results are
     reproducible regardless of evaluation order. ``shots_per_phase`` (at
     most 2^63 - 1) and ``seed`` (in [0, 2^64 - 1]) are integers, not bool.
+    The phases must pass the fit basis's grid rule, else ValueError.
     """
 
     unitary: PermutationUnitary
@@ -279,13 +279,7 @@ class InterferometerSpec:
         for k, (state, d) in enumerate(zip(self.inputs, dims)):
             if state.dim != d:
                 raise LayoutError(f"input {k} has dim {state.dim}, layout expects {d}")
-        if len(self.phases) == 0:
-            raise ValueError("phase list is empty")
-        if not all(math.isfinite(p) for p in self.phases):
-            raise ValueError("phases must be finite")
         basis = _fit_basis(np.array(self.phases, dtype=np.float64).tobytes())
-        if basis.n_distinct < 3:
-            raise ValueError("need at least 3 distinct phases (mod 2 pi) for the fit")
         if self.mode not in ("exact", "sampled"):
             raise ValueError(f"mode must be 'exact' or 'sampled', got {self.mode!r}")
         _check_int("shots_per_phase", self.shots_per_phase, high=_SHOTS_MAX)
@@ -304,20 +298,25 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
 
 class _FitBasis:
     """What one phase grid alone fixes, shared by every spec and fringe on
-    it; every array is read-only. ``solve``, the pseudo-inverse of the
-    design ``[1, cos, sin]``, gives a fringe's least-squares coefficients,
-    ``solve @ p0``, and their covariance, ``(solve * var) @ solve.T``."""
+    it; every array is read-only. The one grid rule: finite phases and a
+    design ``[1, cos, sin]`` of rank 3 by ``np.linalg.matrix_rank``'s rule
+    (s[2] > s[0] K eps for K phases), else ValueError. ``solve``, the
+    pseudo-inverse by ``np.linalg.pinv``'s expression on the same SVD, gives
+    a fringe's coefficients, ``solve @ p0``, and their covariance,
+    ``(solve * var) @ solve.T``."""
 
     def __init__(self, key: bytes):
         phases = np.frombuffer(key, dtype=np.float64)
-        self.phases = phases
-        # A set of finite Python floats counts what np.unique counts (0.0
-        # and -0.0 are one point); np.unique's first call in a process
-        # imports numpy.ma, ~15 ms.
-        self.n_distinct = len(set(np.round(np.mod(phases, 2.0 * np.pi), 12).tolist()))
-        self.rotors = _read_only(np.exp(1j * phases))
+        if not np.isfinite(phases).all():
+            raise ValueError("phases must be finite")
         design = np.column_stack([np.ones(len(phases)), np.cos(phases), np.sin(phases)])
-        self.solve = _read_only(np.linalg.pinv(design))
+        u, s, vt = np.linalg.svd(design, full_matrices=False)
+        if len(s) < 3 or not s[2] > s[0] * len(phases) * np.finfo(np.float64).eps:
+            raise ValueError("phase grid cannot be fitted: the design [1, cos, sin] "
+                             f"of its {len(phases)} phases needs numerical rank 3")
+        self.phases = phases
+        self.rotors = _read_only(np.exp(1j * phases))
+        self.solve = _read_only(vt.T @ ((1.0 / s)[:, None] * u.T))
 
 
 @functools.lru_cache(maxsize=_GRIDS_CACHED)
@@ -340,15 +339,16 @@ class FringeData:
     shots: np.ndarray
 
     def __post_init__(self):
-        phases = np.asarray(self.phases, dtype=np.float64)
-        p0 = np.asarray(self.p0, dtype=np.float64)
+        # Copies: freezing them below leaves the caller's arrays writable.
+        phases = np.array(self.phases, dtype=np.float64)
+        p0 = np.array(self.p0, dtype=np.float64)
         shots = np.asarray(self.shots)
         # A Python int beyond int64 makes an object array; the bounds are
         # compared as Python ints, exactly at any dtype.
         if shots.size and (shots.dtype.kind not in "iu" or int(shots.min()) < 0
                            or int(shots.max()) > _SHOTS_MAX):
             raise ValueError(f"shots must be integers in [0, {_SHOTS_MAX}]")
-        shots = shots.astype(np.int64, copy=False)
+        shots = shots.astype(np.int64)
         if not (phases.shape == p0.shape == shots.shape) or phases.ndim != 1:
             raise ValueError("phases, p0 and shots must be 1-d arrays of equal length")
         if not np.isfinite(phases).all():
@@ -381,7 +381,7 @@ class VisibilityEstimate:
     stderr_v: float = 0.0
 
     def __post_init__(self):
-        if self.v < 0.0 or self.stderr_v < 0.0:
+        if not (self.v >= 0.0 and self.stderr_v >= 0.0):  # NaN fails it too
             raise ValueError("visibility and its stderr must be nonnegative")
         if not -np.pi < self.alpha <= np.pi + 1e-12:
             raise ValueError(f"alpha must lie in (-pi, pi], got {self.alpha}")
@@ -435,18 +435,15 @@ def extract_visibility(fringes: FringeData) -> VisibilityEstimate:
     """Least-squares fit of p0(phi) = (1 + v cos(phi + alpha)) / 2.
 
     The model is linear in (v cos alpha, v sin alpha), so the fit is one
-    product with the grid's cached pseudo-inverse of the design matrix:
-    exact on noiseless fringes, minimum-norm on a rank-deficient grid in
-    either mode. For sampled fringes the per-point binomial variance
+    product with the grid's cached pseudo-inverse of the design matrix,
+    exact on noiseless fringes; a grid whose design has rank < 3 raises
+    ValueError. For sampled fringes the per-point binomial variance
     p (1 - p) / shots is propagated through that operator to ``stderr_v``.
     A sampled frequency of 0 or 1 has no spread of its own, so its
     variance is taken at p clipped to [1 / (2 shots), 1 - 1 / (2 shots)];
     every other frequency k / shots already lies in that range.
     """
-    basis = _fit_basis(fringes.phases.tobytes())
-    if basis.n_distinct < 3:
-        raise ValueError("degenerate phase grid: need >= 3 distinct phases (mod 2 pi)")
-    solve = basis.solve
+    solve = _fit_basis(fringes.phases.tobytes()).solve
     _, c1, c2 = solve @ fringes.p0
     r = float(np.hypot(c1, c2))
     v = 2.0 * r

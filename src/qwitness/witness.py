@@ -71,16 +71,16 @@ class WitnessResult:
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}, expected one of {METHODS}")
         if self.stderr_q == 0.0:
-            # Exact results must satisfy the algebraic constraints; sampled
-            # estimates are exempt (noise can flip tiny differences).
-            if self.q_value < -ATOL_STRUCT:
+            # Exact results must meet the algebraic constraints (NaN fails each
+            # test); sampled estimates are exempt: noise can flip tiny differences.
+            if not self.q_value >= -ATOL_STRUCT:
                 raise ValueError(f"exact q_value must be nonnegative, got {self.q_value}")
-            if self.v2_term > self.v1_term + ATOL_STRUCT:
+            if not self.v2_term <= self.v1_term + ATOL_STRUCT:
                 raise ValueError(
                     f"exact trace terms must satisfy v2 <= v1, got "
                     f"v1={self.v1_term}, v2={self.v2_term}"
                 )
-            if abs(self.q_value - 4.0 * (self.v1_term - self.v2_term)) > ATOL_STRUCT:
+            if not abs(self.q_value - 4.0 * (self.v1_term - self.v2_term)) <= ATOL_STRUCT:
                 raise ValueError("q_value inconsistent with 4 (v1 - v2)")
 
 

@@ -168,6 +168,23 @@ class TestTypes:
         assert report(1e-8).verdict == "no_violation_found"
         assert report(np.nextafter(1e-8, 1)).verdict == "quantum_correlated"
 
+    def test_discord_report_rejects_nan_best_q(self):
+        """Its verdict read no_violation_found."""
+        with pytest.raises(ValueError, match="best_q must be nonnegative"):
+            DiscordReport(best_q=float("nan"), best_params=(0.0,),
+                          best_kets=(np.array([1.0, 0.0]), np.array([0.0, 1.0])),
+                          evaluations=1, trace=())
+
+    def test_discord_report_freezes_copies_of_the_callers_kets(self):
+        kets = (np.array([1.0, 0.0]), np.array([0.0, 1.0]))
+        report = DiscordReport(best_q=0.5, best_params=(0.0,), best_kets=kets,
+                               evaluations=1, trace=())
+        kets[0][0] = 2.0
+        assert report.best_kets[0].tolist() == [1.0, 0.0]
+        for k in report.best_kets:
+            with pytest.raises(ValueError, match="read-only"):
+                k[0] = 0.0
+
 
 class TestCqSpec:
     def test_probs_must_sum_to_one(self):

@@ -36,6 +36,9 @@ from qwitness.witness import quantumness
 Q2 = RegisterLayout((2, 2))
 Q4 = RegisterLayout((2, 2, 2, 2))
 
+# The message of every phase grid the fit cannot use.
+UNFITTABLE = r"^phase grid cannot be fitted: .* needs numerical rank 3$"
+
 SWAP_2Q = np.array(
     [
         [1, 0, 0, 0],
@@ -240,20 +243,20 @@ class TestInterferometerSpec:
         rb = ginibre_state(2, 2, rng)
         return (ra, ra, rb, rb)
 
-    def test_too_few_distinct_phases_rejected(self):
-        with pytest.raises(ValueError, match="distinct"):
+    def test_two_phases_rejected(self):
+        with pytest.raises(ValueError, match=UNFITTABLE):
             InterferometerSpec(build_u1(Q4), self._inputs(), (0.0, 1.0))
 
     def test_phases_distinct_only_mod_2pi_rejected(self):
         # 0 and 2 pi are the same interference setting
-        with pytest.raises(ValueError, match="distinct"):
+        with pytest.raises(ValueError, match=UNFITTABLE):
             InterferometerSpec(
                 build_u1(Q4), self._inputs(), (0.0, 1.0, 2.0 * np.pi)
             )
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_phase_rejected(self, bad, capfd):
-        # Rejected before the distinct-phase count, whose np.mod warns on inf.
+        # Rejected before the fit basis evaluates cos and sin, which warn on inf.
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="phases must be finite"):
@@ -412,6 +415,15 @@ class TestFringeData:
         assert fr.shots.dtype == np.int64
         assert fr.shots.tolist() == np.asarray(shots).tolist()
 
+    def test_freezes_copies_of_the_callers_arrays(self):
+        ph, p0, shots = np.linspace(0.0, 6.0, 8), np.full(8, 0.5), np.zeros(8, np.int64)
+        fr = FringeData(ph, p0, shots)
+        ph[0], p0[0], shots[0] = 1.0, 0.25, 3
+        assert (fr.phases[0], fr.p0[0], fr.shots[0]) == (0.0, 0.5, 0)
+        for arr in (fr.phases, fr.p0, fr.shots):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0
+
     @pytest.mark.parametrize(
         "phases, p0, message",
         [
@@ -469,7 +481,7 @@ class TestExtractVisibility:
             np.array([0.2, 0.2, 0.2]),
             np.zeros(3, np.int64),
         )
-        with pytest.raises(ValueError, match="degenerate"):
+        with pytest.raises(ValueError, match=UNFITTABLE):
             extract_visibility(fr)
 
     def test_sampled_fit_reports_uncertainty(self):
@@ -518,6 +530,11 @@ class TestVisibilityEstimate:
             VisibilityEstimate(v=0.5, alpha=4.0)
         with pytest.raises(ValueError, match="exceeds"):
             VisibilityEstimate(v=1.2, alpha=0.0, stderr_v=0.0)
+
+    @pytest.mark.parametrize("v, stderr_v", [(np.nan, 0.0), (0.5, np.nan)])
+    def test_nan_rejected(self, v, stderr_v):
+        with pytest.raises(ValueError, match="nonnegative"):
+            VisibilityEstimate(v=v, alpha=0.0, stderr_v=stderr_v)
 
     def test_noisy_overshoot_within_three_sigma_allowed(self):
         est = VisibilityEstimate(v=1.05, alpha=0.0, stderr_v=0.02)
@@ -741,12 +758,26 @@ class TestSettingCaches:
     @pytest.mark.parametrize(
         "phases",
         [(0.0, -0.0, 2.0 * np.pi, 1.0), (0.5, 0.5, 0.5 + 2 * np.pi), (1e-13, 0.0, 3.0),
-         (0.0, 1e-11, 2e-11), (-np.pi, np.pi, 3 * np.pi, 0.1), default_phase_grid(1024)],
+         (0.0, 1e-11, 2e-11), (-np.pi, np.pi, 3 * np.pi, 0.1), default_phase_grid(1024),
+         (0.0, 1e-7, 2e-7), (0.0, 1.0), (), default_phase_grid(3),
+         default_phase_grid(2**16)],
+        ids=["two-points", "one-point", "1e-13-apart", "1e-11-apart", "pi-wraps",
+             "1024", "1e-7-apart", "two-phases", "empty", "cli-floor-3",
+             "cli-ceiling-2^16"],
     )
-    def test_distinct_point_count_is_np_unique_count(self, phases):
+    def test_grid_fits_iff_its_design_has_numerical_rank_3(self, phases):
+        """One rule, the fit basis's: a grid is fitted iff np.linalg.matrix_rank
+        gives its design rank 3, and then the fit's operator has the bits of
+        np.linalg.pinv. A rank-3 grid may still be ill-conditioned: three
+        phases 1e-7 apart have cond ~8e14."""
         phases = np.array(phases, dtype=np.float64)
-        expected = len(np.unique(np.round(np.mod(phases, 2.0 * np.pi), 12)))
-        assert interferometer._fit_basis(phases.tobytes()).n_distinct == expected
+        design = np.column_stack([np.ones(len(phases)), np.cos(phases), np.sin(phases)])
+        if np.linalg.matrix_rank(design) == 3:
+            solve = interferometer._fit_basis(phases.tobytes()).solve
+            assert solve.tobytes() == np.linalg.pinv(design).tobytes()
+        else:
+            with pytest.raises(ValueError, match=UNFITTABLE):
+                interferometer._fit_basis(phases.tobytes())
 
     def test_shared_arrays_are_read_only(self):
         rng = np.random.default_rng(19)
@@ -785,26 +816,21 @@ class TestSettingCaches:
             assert info.maxsize is not None
             assert info.currsize <= info.maxsize, cache
 
-    def test_degenerate_user_fringe_still_raises_once_its_grid_is_known(self):
-        phases = (0.5, 0.5, 0.5 + 2 * np.pi)
-        inputs = (DensityMatrix(np.eye(2) / 2.0),) * 4
-        with pytest.raises(ValueError, match="distinct"):
-            InterferometerSpec(build_u1(Q4), inputs, phases)
-        fr = FringeData(np.array(phases), np.full(3, 0.2), np.zeros(3, np.int64))
-        for _ in range(2):
-            with pytest.raises(ValueError, match="degenerate"):
-                extract_visibility(fr)
-
-    def test_dependent_design_columns_fit_alike_exact_and_sampled(self):
+    @pytest.mark.parametrize(
+        "phases", [(0.0, 1e-11, 2e-11), (0.5, 0.5, 0.5 + 2 * np.pi), ()],
+        ids=["1e-11-apart", "one-point", "empty"],
+    )
+    def test_unfittable_grid_refused_by_spec_and_both_fits_on_every_call(self, phases):
         """cos rounds to 1.0 on three phases 1e-11 apart, so the design's
-        first two columns are equal. Both fits use the grid's one
-        pseudo-inverse: they return the same minimum-norm v and alpha, on
-        every call, and the sampled fit reports the grid's huge spread."""
-        phases = np.array([0.0, 1e-11, 2e-11])
-        p0 = np.full(3, 0.5)
-        exact = extract_visibility(FringeData(phases, p0, np.zeros(3, np.int64)))
-        assert exact.stderr_v == 0.0
+        first two columns are equal; the exact fit returned an arbitrary v
+        with stderr_v 0. A failed grid is not cached, so it raises again."""
+        inputs = (DensityMatrix(np.eye(2) / 2.0),) * 4
+        n = len(phases)
         for _ in range(2):
-            sampled = extract_visibility(FringeData(phases, p0, np.full(3, 10)))
-            assert bits(sampled.v, sampled.alpha) == bits(exact.v, exact.alpha)
-            assert sampled.stderr_v > 1e3
+            with pytest.raises(ValueError, match=UNFITTABLE):
+                InterferometerSpec(build_u1(Q4), inputs, phases)
+            for shots in (0, 10):
+                fr = FringeData(np.array(phases, dtype=np.float64), np.full(n, 0.5),
+                                np.full(n, shots, np.int64))
+                with pytest.raises(ValueError, match=UNFITTABLE):
+                    extract_visibility(fr)

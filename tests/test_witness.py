@@ -233,6 +233,12 @@ class TestWitnessResult:
         with pytest.raises(ValueError, match="inconsistent"):
             WitnessResult(q_value=0.5, v1_term=0.3, v2_term=0.2, method="trace_formula")
 
+    @pytest.mark.parametrize("field", ["q_value", "v1_term", "v2_term"])
+    def test_nan_fails_the_exact_checks(self, field):
+        values = {"q_value": 0.0, "v1_term": 0.0, "v2_term": 0.0, field: float("nan")}
+        with pytest.raises(ValueError):
+            WitnessResult(**values, method="direct_norm")
+
     def test_sampled_estimates_may_fluctuate_below_zero(self):
         res = WitnessResult(
             q_value=-0.01, v1_term=0.1, v2_term=0.1025,
