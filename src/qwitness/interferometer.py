@@ -256,11 +256,11 @@ class InterferometerSpec:
     """One interference experiment: unitary, register inputs, phase scan.
 
     ``mode="exact"`` records model probabilities; ``mode="sampled"`` draws
-    ``shots_per_phase`` Bernoulli samples per phase setting from a generator
-    derived from ``(seed, phase index)``, so per-phase results are
-    reproducible regardless of evaluation order. ``shots_per_phase`` (at
-    most 2^63 - 1) and ``seed`` (in [0, 2^64 - 1]) are integers, not bool.
-    The phases must pass the fit basis's grid rule, else ValueError.
+    ``shots_per_phase`` Bernoulli samples per phase setting, all phases from
+    one generator seeded by ``seed``: a seed fixes the whole experiment, and
+    a phase's count depends on the grid it is drawn with. ``shots_per_phase``
+    (at most 2^63 - 1) and ``seed`` (in [0, 2^64 - 1]) are integers, not
+    bool. The phases must pass the fit basis's grid rule, else ValueError.
     """
 
     unitary: PermutationUnitary
@@ -372,8 +372,8 @@ class FringeData:
 class VisibilityEstimate:
     """Visibility and phase of a fringe, v e^{i alpha} = Tr(U rho).
 
-    ``stderr_v`` is zero for exact fringes and comes from binomial variance
-    propagation through the least-squares fit otherwise.
+    ``stderr_v`` is finite and nonnegative: zero for exact fringes, else
+    binomial variance propagated through the least-squares fit.
     """
 
     v: float
@@ -381,8 +381,9 @@ class VisibilityEstimate:
     stderr_v: float = 0.0
 
     def __post_init__(self):
-        if not (self.v >= 0.0 and self.stderr_v >= 0.0):  # NaN fails it too
-            raise ValueError("visibility and its stderr must be nonnegative")
+        if not (self.v >= 0.0 and 0.0 <= self.stderr_v < np.inf):  # NaN fails it too
+            raise ValueError("visibility must be nonnegative and its stderr finite and "
+                             "nonnegative")
         if not -np.pi < self.alpha <= np.pi + 1e-12:
             raise ValueError(f"alpha must lie in (-pi, pi], got {self.alpha}")
         if self.v > 1.0 + 3.0 * self.stderr_v + _PROB_SLACK:
@@ -408,7 +409,8 @@ def run_interferometer(spec: InterferometerSpec) -> FringeData:
 
     Exact mode stores p0(phi) = (1 + Re(e^{i phi} Tr(U rho))) / 2 directly;
     sampled mode stores the empirical frequency of outcome 0 over
-    ``shots_per_phase`` draws.
+    ``shots_per_phase`` draws, the counts of all phases drawn as one
+    binomial over the grid from ``np.random.default_rng(seed)``.
     """
     z = permutation_expectation(spec.unitary, list(spec.inputs))
     basis = spec._basis
@@ -424,10 +426,7 @@ def run_interferometer(spec: InterferometerSpec) -> FringeData:
     if spec.mode == "exact":
         return FringeData(phases, model, np.zeros(len(phases), dtype=np.int64))
     n = spec.shots_per_phase
-    freqs = np.empty(len(phases), dtype=np.float64)
-    for k, p in enumerate(model):
-        rng = np.random.default_rng([int(spec.seed), k])
-        freqs[k] = rng.binomial(n, p) / n
+    freqs = np.random.default_rng(spec.seed).binomial(n, model) / n
     return FringeData(phases, freqs, np.full(len(phases), n, dtype=np.int64))
 
 

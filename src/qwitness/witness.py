@@ -56,9 +56,10 @@ class WitnessResult:
 
     ``v1_term = Tr(rho_a^2 rho_b^2)`` and ``v2_term = Tr((rho_a rho_b)^2)``
     with ``q_value = 4 (v1_term - v2_term)`` for the trace route. ``method``
-    records how ``q_value`` was obtained; ``stderr_q`` is nonzero only for
-    shot-sampled interferometric estimates, whose q_value and trace terms
-    are statistical estimators and may fluctuate below zero.
+    records how ``q_value`` was obtained; ``stderr_q`` is finite and
+    nonnegative, and nonzero only for shot-sampled interferometric
+    estimates, whose q_value and trace terms are statistical estimators
+    and may fluctuate below zero.
     """
 
     q_value: float
@@ -70,6 +71,13 @@ class WitnessResult:
     def __post_init__(self):
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}, expected one of {METHODS}")
+        # Plain float comparisons, cheap on quantumness's path; NaN fails them.
+        if not 0.0 <= self.stderr_q < np.inf:
+            raise ValueError(f"stderr_q must be finite and nonnegative, got {self.stderr_q}")
+        if self.stderr_q != 0.0 and self.method != "interferometer":
+            raise ValueError(
+                f"{self.method} results are exact: stderr_q must be 0, got {self.stderr_q}"
+            )
         if self.stderr_q == 0.0:
             # Exact results must meet the algebraic constraints (NaN fails each
             # test); sampled estimates are exempt: noise can flip tiny differences.

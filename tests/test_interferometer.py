@@ -385,6 +385,20 @@ class TestRunInterferometer:
         counts = fringes.p0 * 7
         np.testing.assert_allclose(counts, np.round(counts), atol=1e-12)
 
+    @pytest.mark.parametrize("build", [build_u1, build_u2])
+    def test_sampled_grid_at_the_cli_ceiling_is_one_draw(self, build):
+        """All 2^16 phases of the CLI's largest grid are drawn as one binomial
+        from one generator seeded by the spec's seed."""
+        rng = np.random.default_rng(11)
+        ra, rb = ginibre_state(2, 2, rng), ginibre_state(2, 1, rng)
+        spec = InterferometerSpec(build(Q4), (ra, ra, rb, rb), default_phase_grid(2**16),
+                                  mode="sampled", shots_per_phase=1000, seed=1)
+        fringes = run_interferometer(spec)
+        phases, p0, counts = reference_fringes(spec)
+        assert fringes.phases.tobytes() == phases.tobytes()
+        assert fringes.p0.tobytes() == p0.tobytes()
+        assert fringes.shots.tobytes() == counts.tobytes()
+
 
 class TestFringeData:
     def test_probability_bounds_enforced(self):
@@ -536,6 +550,11 @@ class TestVisibilityEstimate:
         with pytest.raises(ValueError, match="nonnegative"):
             VisibilityEstimate(v=v, alpha=0.0, stderr_v=stderr_v)
 
+    def test_infinite_stderr_rejected(self):
+        """An infinite stderr would make the overshoot bound pass any v."""
+        with pytest.raises(ValueError, match="finite"):
+            VisibilityEstimate(v=7.0, alpha=0.0, stderr_v=float("inf"))
+
     def test_noisy_overshoot_within_three_sigma_allowed(self):
         est = VisibilityEstimate(v=1.05, alpha=0.0, stderr_v=0.02)
         assert est.v == 1.05
@@ -657,8 +676,7 @@ def reference_fringes(spec):
     if spec.mode == "exact":
         return phases, model, np.zeros(len(phases), dtype=np.int64)
     n = spec.shots_per_phase
-    freqs = np.array([np.random.default_rng([int(spec.seed), k]).binomial(n, p) / n
-                      for k, p in enumerate(model)])
+    freqs = np.random.default_rng(spec.seed).binomial(n, model) / n
     return phases, freqs, np.full(len(phases), n, dtype=np.int64)
 
 

@@ -239,6 +239,32 @@ class TestWitnessResult:
         with pytest.raises(ValueError):
             WitnessResult(**values, method="direct_norm")
 
+    @pytest.mark.parametrize(
+        "values",
+        [
+            {"q_value": -5.0, "v1_term": 0.0, "v2_term": 0.0, "method": "direct_norm",
+             "stderr_q": -1.0},
+            {"q_value": float("nan"), "v1_term": float("nan"), "v2_term": float("nan"),
+             "method": "interferometer", "stderr_q": float("nan")},
+            {"q_value": 0.01, "v1_term": 0.1, "v2_term": 0.0975, "method": "interferometer",
+             "stderr_q": float("inf")},
+            {"q_value": 0.01, "v1_term": 0.1, "v2_term": 0.0975, "method": "interferometer",
+             "stderr_q": -0.02},
+        ],
+        ids=["negative-exact", "all-nan", "infinite", "negative-sampled"],
+    )
+    def test_stderr_must_be_finite_and_nonnegative(self, values):
+        """A stderr that is NaN, infinite or negative is refused by every
+        method; it would otherwise skip the exact checks."""
+        with pytest.raises(ValueError, match="stderr_q must be finite and nonnegative"):
+            WitnessResult(**values)
+
+    @pytest.mark.parametrize("method", ["direct_norm", "trace_formula"])
+    def test_exact_methods_refuse_a_nonzero_stderr(self, method):
+        with pytest.raises(ValueError, match="stderr_q must be 0, got 0.02"):
+            WitnessResult(q_value=-0.01, v1_term=0.1, v2_term=0.1025, method=method,
+                          stderr_q=0.02)
+
     def test_sampled_estimates_may_fluctuate_below_zero(self):
         res = WitnessResult(
             q_value=-0.01, v1_term=0.1, v2_term=0.1025,
