@@ -470,13 +470,6 @@ def _trace_terms(ab: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return v1, v2
 
 
-def _floored(probs: np.ndarray) -> np.ndarray:
-    """The outcome probabilities to divide steered blocks by: each at or
-    below PROB_FLOOR is inf instead, which turns its block into the zero
-    matrix, so every pair with that ket scores 0 with gradient 0."""
-    return np.where(probs > PROB_FLOOR, probs, np.inf)
-
-
 # Signs that turn the stacked commutators [s_j, C^dag], j the other ket of
 # each pair, into G1 = [s2, C^dag] and G2 = [C^dag, s1].
 _COMMUTATOR_SIGNS = np.array([1.0, -1.0])[:, None, None]
@@ -490,15 +483,14 @@ def _witness_kernel(rho4: np.ndarray, kets: np.ndarray):
     shape kets.shape, so that the gradient in (Re k_i, Im k_i) is (Re, Im)
     of it. Here C = [s1, s2] and
     G1 = [s2, C^dag], G2 = [C^dag, s1], H_i = (G_i - Tr(G_i s_i) I) / p_i
-    and W_i[a, c] = Tr(H_i rho4[a, :, c, :]). Each steered block is divided
-    by its outcome probability under :func:`_floored`, the floor rule of
-    :func:`_steered_states`: a point with an outcome probability at or
-    below PROB_FLOOR has a zero steered state, so it scores 0 with
-    gradient 0, and no point is divided by a vanishing weight.
+    and W_i[a, c] = Tr(H_i rho4[a, :, c, :]). The kets steer B by the scan's
+    own contraction, :func:`_steered_states`, with its floor rule: a point
+    with an outcome probability at or below PROB_FLOOR has a zero steered
+    state, so it scores 0 with gradient 0, and no point is divided by a
+    vanishing weight.
     """
-    blocks = np.einsum("...a,ajck,...c->...jk", kets.conj(), rho4, kets)
-    p = _floored(blocks.trace(axis1=-2, axis2=-1).real)[..., None, None]
-    s = blocks / p
+    s, p = _steered_states(rho4, kets.reshape(-1, kets.shape[-1]))
+    s, p = s.reshape(kets.shape[:-1] + s.shape[1:]), p.reshape(kets.shape[:-1] + (1, 1))
     # v1 = sum |ab|^2 is Tr(a^2 b^2) for Hermitian pairs; the steered
     # blocks are Hermitian to rounding.
     ab = s[..., 0, :, :] @ s[..., 1, :, :]
@@ -516,25 +508,18 @@ def _witness_kernel(rho4: np.ndarray, kets: np.ndarray):
 
 
 def _ket_params(kets: np.ndarray) -> np.ndarray:
-    """Rows (Re k1, Im k1, Re k2, Im k2) of ket pairs (..., 2, dim_a)."""
+    """Report rows (Re k1, Im k1, Re k2, Im k2) of ket pairs (..., 2, dim_a)."""
     parts = np.empty(kets.shape[:-1] + (2,) + kets.shape[-1:])
     parts[..., 0, :], parts[..., 1, :] = kets.real, kets.imag
     return parts.reshape(kets.shape[:-2] + (-1,))
 
 
-def _param_kets(x: np.ndarray) -> np.ndarray:
-    """Ket pairs (..., 2, dim_a) of rows (Re k1, Im k1, Re k2, Im k2)."""
-    parts = x.reshape(x.shape[:-1] + (2, 2, -1))
-    kets = np.empty(parts[..., 0, :].shape, dtype=np.complex128)
-    kets.real, kets.imag = parts[..., 0, :], parts[..., 1, :]
-    return kets
-
-
 def _refine_loss(rho4: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """-Q and its gradient at the points x (n, 4 dim_a) of :func:`_ket_params`."""
-    q, dq = _witness_kernel(rho4, _param_kets(x))
-    grads = _ket_params(dq)
-    return np.negative(q, out=q), np.negative(grads, out=grads)
+    """-Q and its gradient at the points x (n, 4 dim_a), each row the float64
+    view of a ket pair (2, dim_a): Re and Im of each component interleaved.
+    The gradient is -dQ/dk of :func:`_witness_kernel` in the same view."""
+    q, dq = _witness_kernel(rho4, x.view(np.complex128).reshape(len(x), 2, -1))
+    return np.negative(q, out=q), np.negative(dq, out=dq).view(np.float64).reshape(x.shape)
 
 
 # Scan pairs per tile, times dim_b^2: each (pairs, dim_b, dim_b) complex
@@ -561,35 +546,42 @@ def _hyperspherical_ket(params: np.ndarray, dim: int) -> np.ndarray:
 
 
 def _scan_points(dim_a: int, config: OptimizerConfig) -> np.ndarray:
-    """Parameters (N, 2 dim_a - 2) of the scan kets for :func:`_hyperspherical_ket`.
+    """The scan's unit kets (N, dim_a), component 0 real and nonnegative.
 
-    The grid takes grid_points polar angles, at half steps across (0, pi/2)
-    so that no ray repeats, and grid_points phases per axis. Past SCAN_CAP
-    pairs it takes instead the most Haar-random kets whose pairs fit, drawn
-    from ``seed``: squared moduli uniform on the simplex, phases uniform.
+    The grid takes :func:`_hyperspherical_ket` at grid_points polar angles,
+    at half steps across (0, pi/2) so that no ray repeats, and grid_points
+    phases per axis. Past SCAN_CAP pairs it takes instead the most
+    Haar-random kets whose pairs fit, drawn from ``seed``: squared moduli
+    uniform on the simplex, phases uniform.
     """
     g, n_polar = config.grid_points, dim_a - 1
     n = g ** (2 * n_polar)
     if n * (n - 1) // 2 <= SCAN_CAP:
         axes = [(np.arange(g) + 0.5) * (math.pi / 2.0 / g)] * n_polar
         axes += [np.arange(g) * (2.0 * math.pi / g)] * n_polar
-        return np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=1)
+        grid = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=1)
+        return _hyperspherical_ket(grid, dim_a)
     n = (1 + math.isqrt(1 + 8 * SCAN_CAP)) // 2
     rng = np.random.default_rng(config.seed)
-    amps = np.sqrt(rng.dirichlet(np.ones(dim_a), size=n))
-    rest = np.sqrt(np.cumsum(amps[:, :0:-1] ** 2, axis=1)[:, ::-1])  # |amps[k + 1:]|
-    phases = rng.uniform(0.0, 2.0 * math.pi, size=(n, n_polar))
-    return np.concatenate([np.arctan2(rest, amps[:, :-1]), phases], axis=1)
+    kets = np.sqrt(rng.dirichlet(np.ones(dim_a), size=n)).astype(np.complex128)
+    kets[:, 1:] *= np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, size=(n, n_polar)))
+    return kets
 
 
-def _steered_states(rho4: np.ndarray, kets: np.ndarray) -> np.ndarray:
-    """B states (n, db, db) steered by the A kets (n, da), normalised. A ket
-    whose outcome probability is at most PROB_FLOOR is divided by inf
-    instead, into the zero matrix, so every pair with it scores 0."""
+def _steered_states(rho4: np.ndarray, kets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """B states (n, db, db) steered by the A kets (n, da), normalised, and
+    the outcome probabilities (n, 1, 1) they were divided by. A probability
+    at or below PROB_FLOOR is inf instead, which turns its state into the
+    zero matrix, so every pair with that ket scores 0 with gradient 0.
+
+    One GEMM over the kets, then one product per ket: the search's only
+    steering, for the scan and the refinement alike."""
     da, db = rho4.shape[:2]
     half = kets.conj() @ rho4.transpose(0, 2, 1, 3).reshape(da, -1)
     blocks = (kets[:, None, :] @ half.reshape(-1, da, db * db)).reshape(-1, db, db)
-    return blocks / _floored(blocks.trace(axis1=-2, axis2=-1).real)[:, None, None]
+    p = blocks.trace(axis1=-2, axis2=-1).real[:, None, None]
+    p = np.where(p > PROB_FLOOR, p, np.inf)
+    return blocks / p, p
 
 
 def _pair_scores(states: np.ndarray) -> np.ndarray:
@@ -635,12 +627,13 @@ def maximize_witness(
     every pair from the steered stack (:func:`_pair_scores`). One
     :func:`minimize` call then refines from the best min(starts, max_evals)
     pairs that share no ket, on max_evals // (their number) evaluations
-    each, with :func:`_refine_loss` on the unconstrained kets (Re k1, Im k1,
-    Re k2, Im k2) and its analytic gradient; the report scales each ket to
-    unit norm. The kernel gives every point the bits it gets alone, so each
-    start ends as it does refined on its own. best_q is the first maximum in
-    the order scan, then each start's points. Deterministic for a given
-    config. Zero-probability outcomes score 0.
+    each, with :func:`_refine_loss` and its analytic gradient on the
+    unconstrained kets, as the float64 view of each pair. The report scales
+    each ket to unit norm and gives it as rows (Re k1, Im k1, Re k2, Im k2).
+    The kernel gives every point the bits it gets alone, so each start ends
+    as it does refined on its own. best_q is the first maximum in the order
+    scan, then each start's points. Deterministic for a given config.
+    Zero-probability outcomes score 0.
     """
     if config is None:
         config = OptimizerConfig()
@@ -649,12 +642,12 @@ def maximize_witness(
         raise LayoutError("measured subsystem must have dim_a >= 2")
     rho4 = rho.state.matrix.reshape(da, db, da, db)
 
-    kets = _hyperspherical_ket(_scan_points(da, config), da)
-    board = _pair_scores(_steered_states(rho4, kets))
+    kets = _scan_points(da, config)
+    board = _pair_scores(_steered_states(rho4, kets)[0])
     evaluations = len(kets) * (len(kets) - 1) // 2
     best_q = float(board.max())
     pairs = _disjoint_pairs(board, min(config.starts, config.max_evals))
-    starts = _ket_params(kets[np.array(pairs)])
+    starts = kets[np.array(pairs)].view(np.float64).reshape(len(pairs), -1)
     maxfev = config.max_evals // len(starts)
     res = minimize(lambda x: _refine_loss(rho4, x), starts, maxfev=maxfev)
     values = [best_q, *(-res.fun).tolist()]  # the scan optimum's, then each end's
@@ -662,7 +655,7 @@ def maximize_witness(
     for q, x in zip((-res.best_fun).tolist(), res.best_x):
         if q > best_q:
             best_q, best_x = q, x
-    kets = _param_kets(np.concatenate([[best_x, starts[0]], res.x]))
+    kets = np.concatenate([[best_x, starts[0]], res.x]).view(np.complex128).reshape(-1, 2, da)
     kets /= np.linalg.norm(kets, axis=-1, keepdims=True)
     params = _ket_params(kets).tolist()
     return DiscordReport(

@@ -54,8 +54,9 @@ METHODS = ("direct_norm", "trace_formula", "interferometer")
 class WitnessResult:
     """Quantumness value together with the two trace terms behind it.
 
-    ``v1_term = Tr(rho_a^2 rho_b^2)`` and ``v2_term = Tr((rho_a rho_b)^2)``
-    with ``q_value = 4 (v1_term - v2_term)`` for the trace route. ``method``
+    ``v1_term = Tr(rho_a^2 rho_b^2)`` and ``v2_term = Tr((rho_a rho_b)^2)``,
+    and every record has ``q_value = 4 (v1_term - v2_term)`` within
+    ATOL_STRUCT, so none holds a NaN or infinite value. ``method``
     records how ``q_value`` was obtained; ``stderr_q`` is finite and
     nonnegative, and nonzero only for shot-sampled interferometric
     estimates, whose q_value and trace terms are statistical estimators
@@ -79,7 +80,7 @@ class WitnessResult:
                 f"{self.method} results are exact: stderr_q must be 0, got {self.stderr_q}"
             )
         if self.stderr_q == 0.0:
-            # Exact results must meet the algebraic constraints (NaN fails each
+            # Exact results must meet the sign constraints (NaN fails each
             # test); sampled estimates are exempt: noise can flip tiny differences.
             if not self.q_value >= -ATOL_STRUCT:
                 raise ValueError(f"exact q_value must be nonnegative, got {self.q_value}")
@@ -88,8 +89,10 @@ class WitnessResult:
                     f"exact trace terms must satisfy v2 <= v1, got "
                     f"v1={self.v1_term}, v2={self.v2_term}"
                 )
-            if not abs(self.q_value - 4.0 * (self.v1_term - self.v2_term)) <= ATOL_STRUCT:
-                raise ValueError("q_value inconsistent with 4 (v1 - v2)")
+        # Every record, sampled ones included, has q_value = 4 (v1 - v2); NaN
+        # and infinite values fail the test.
+        if not abs(self.q_value - 4.0 * (self.v1_term - self.v2_term)) <= ATOL_STRUCT:
+            raise ValueError("q_value inconsistent with 4 (v1 - v2)")
 
 
 def quantumness(rho_a: DensityMatrix, rho_b: DensityMatrix,

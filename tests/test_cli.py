@@ -160,6 +160,26 @@ class TestStateIO:
         assert code == 2
         assert message in err
 
+    @pytest.mark.parametrize("text", ["[1, 2]", '"state"', "2"], ids=["list", "string", "number"])
+    def test_top_level_must_be_a_json_object(self, tmp_path, capsys, text):
+        path = tmp_path / "a.json"
+        path.write_text(text)
+        code, out, err = run(capsys, ["witness", "--state-a", str(path), "--state-b", str(path)])
+        assert code == 2 and out == ""
+        assert f"{path}: state file must be a JSON object" in err
+
+    @pytest.mark.parametrize("value", [[2], [2, 2, 1], "2 2", {"a": 2, "b": 2}],
+                             ids=["one", "three", "string", "object"])
+    def test_dims_must_be_a_two_element_list(self, tmp_path, capsys, value):
+        path = tmp_path / "ab.json"
+        save_state(epr_state().state, str(path), dims=(2, 2))
+        doc = json.loads(path.read_text())
+        doc["dims"] = value
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, ["discord", "--state", str(path), "--dims", "2", "2"])
+        assert code == 2 and out == ""
+        assert f"{path}: dims must be a two-element list" in err
+
     @pytest.mark.parametrize(
         "key, value", [("re", "0.5"), ("re", True), ("im", None)],
         ids=["string", "bool", "null"],

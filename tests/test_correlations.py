@@ -33,7 +33,6 @@ from qwitness.correlations import (
     _hyperspherical_ket,
     _ket_params,
     _pair_scores,
-    _param_kets,
     _refine_loss,
     _scan_points,
     _steered_states,
@@ -211,6 +210,11 @@ class TestCqSpec:
                 (0.5, 0.5, 0.0), (dm, dm, dm),
                 (np.array([1.0, 0.0]), np.array([0.0, 1.0]), np.array([1.0, 0.0])),
             )
+
+    def test_b_basis_dims_must_agree(self):
+        dm = DensityMatrix(np.eye(2) / 2.0)
+        with pytest.raises(LayoutError, match="^b_basis kets must share one dimension$"):
+            CqSpec((0.5, 0.5), (dm, dm), (np.array([1.0, 0.0]), np.array([0.0, 1.0, 0.0])))
 
     def test_a_state_dims_must_agree(self):
         with pytest.raises(LayoutError, match="share one dimension"):
@@ -472,7 +476,12 @@ def rho4_of(rho):
 
 def scan_kets(dim_a, config):
     """The kets on A that maximize_witness scans under ``config``."""
-    return _hyperspherical_ket(_scan_points(dim_a, config), dim_a)
+    return _scan_points(dim_a, config)
+
+
+def ket_view(pairs):
+    """Refinement points (n, 4 dim_a): the float64 view of ket pairs (n, 2, dim_a)."""
+    return pairs.view(np.float64).reshape(len(pairs), -1)
 
 
 def random_ket_pairs(rng, dim_a, n):
@@ -489,11 +498,17 @@ def report_fields(report):
     return out
 
 
+def unit_kets(x):
+    """The ket pair (2, dim_a) of the refinement point x, each ket scaled to
+    unit norm."""
+    kets = np.array(x, dtype=np.float64).view(np.complex128).reshape(2, -1)
+    return kets / np.linalg.norm(kets, axis=-1, keepdims=True)
+
+
 def unit_params(x):
-    """(Re k1, Im k1, Re k2, Im k2) of x with each ket scaled to unit norm,
-    as maximize_witness reports its points."""
-    kets = _param_kets(np.asarray(x))
-    return tuple(_ket_params(kets / np.linalg.norm(kets, axis=-1, keepdims=True)).tolist())
+    """(Re k1, Im k1, Re k2, Im k2) of the refinement point x with each ket
+    scaled to unit norm, as maximize_witness reports its points."""
+    return tuple(_ket_params(unit_kets(x)).tolist())
 
 
 def record_starts(monkeypatch):
@@ -526,19 +541,38 @@ def record_starts(monkeypatch):
 
 
 class TestWitnessKernel:
-    @pytest.mark.parametrize("dims", [(2, 2), (3, 2), (2, 3), (4, 3)], ids=str)
-    def test_batched_refine_loss_is_bitwise_one_point(self, dims):
-        """The lockstep refinement scores its starts together: each value
-        and gradient has the bits of a call on that point alone."""
+    @pytest.mark.parametrize("batch", [1, 2, 3, 7, 10, 33])
+    @pytest.mark.parametrize(
+        "dims", [(2, 2), (3, 2), (2, 3), (4, 3), (2, 8), (2, 16), (4, 4)], ids=str
+    )
+    def test_batched_refine_loss_is_bitwise_one_point(self, dims, batch):
+        """The lockstep refinement scores its starts together, and the
+        kernel steers B by one GEMM over the batch: each value and gradient
+        still has the bits of a call on that point alone."""
         da, db = dims
         rng = np.random.default_rng(38)
         rho4 = rho4_of(BipartiteState(ginibre_state(da * db, da * db, rng), da, db))
-        xs = rng.normal(size=(7, 4 * da))
+        xs = rng.normal(size=(batch, 4 * da))
         losses, grads = _refine_loss(rho4, xs)
         for x, f, g in zip(xs, losses, grads):
             f1, g1 = _refine_loss(rho4, x[None])
             assert f1[0].tobytes() == f.tobytes()
             assert g1[0].tobytes() == g.tobytes()
+
+    @pytest.mark.parametrize("dims", [(2, 2), (3, 2), (2, 8)], ids=str)
+    def test_refine_loss_is_the_negated_kernel_on_the_float_view(self, dims):
+        """A refinement point is the float64 view of a ket pair, Re and Im
+        interleaved; its loss and gradient are -Q and -dQ/dk of the kernel
+        on those kets, bit for bit, in the same view."""
+        da, db = dims
+        rng = np.random.default_rng(43)
+        rho4 = rho4_of(BipartiteState(ginibre_state(da * db, da * db, rng), da, db))
+        pairs = random_ket_pairs(rng, da, 5) * rng.uniform(0.8, 1.25, size=(5, 2, 1))
+        q, dq = _witness_kernel(rho4, pairs)
+        losses, grads = _refine_loss(rho4, ket_view(pairs))
+        assert losses.tobytes() == (-q).tobytes()
+        assert grads.shape == (5, 4 * da)
+        assert grads.tobytes() == (-dq).view(np.float64).reshape(5, -1).tobytes()
 
     @pytest.mark.parametrize("dims", [(2, 2), (3, 2), (2, 3), (4, 3)], ids=str)
     def test_gradient_matches_central_differences(self, dims):
@@ -580,10 +614,10 @@ class TestWitnessKernel:
         assert dead.any() and not dead.all()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            states = _steered_states(rho4_of(rho), kets)
+            states = _steered_states(rho4_of(rho), kets)[0]
             board = _pair_scores(states)
             values, grads = _witness_kernel(rho4_of(rho), pairs)
-            losses, loss_grads = _refine_loss(rho4_of(rho), _ket_params(pairs[dead]))
+            losses, loss_grads = _refine_loss(rho4_of(rho), ket_view(pairs[dead]))
             report = maximize_witness(rho, SMALL)
         assert np.all(states[-2:] == 0.0)
         assert np.all(board[:-2, -2:] == 0.0) and board[-2, -1] == 0.0
@@ -636,7 +670,7 @@ class TestWitnessKernel:
         ])
         dead = np.array([False, True, False, True, True, False, True, False, False])
         # The refinement's points are kets of any norm.
-        xs = _ket_params(pairs) * rng.uniform(0.8, 1.25, size=(len(pairs), 1))
+        xs = ket_view(pairs) * rng.uniform(0.8, 1.25, size=(len(pairs), 1))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             losses, grads = _refine_loss(rho4, xs)
@@ -671,7 +705,7 @@ class TestPerKetScan:
         da, db = dims
         rho = BipartiteState(ginibre_state(da * db, da * db, np.random.default_rng(40)), da, db)
         kets = scan_kets(da, config)
-        board = _pair_scores(_steered_states(rho4_of(rho), kets))
+        board = _pair_scores(_steered_states(rho4_of(rho), kets)[0])
         for i, j in upper_pairs(len(kets)):
             e1, e2 = (PovmElement(np.outer(k, k.conj())) for k in kets[[i, j]])
             assert board[i, j] == pytest.approx(correlation_witness(rho, e1, e2), abs=1e-12)
@@ -700,6 +734,17 @@ class TestPerKetScan:
                 assert kets.tobytes() == scan_kets(dim_a, OptimizerConfig(grid_points=18, seed=4)).tobytes()
                 assert kets.tobytes() != scan_kets(dim_a, OptimizerConfig(grid_points=18, seed=5)).tobytes()
 
+    def test_random_branch_returns_unit_kets(self):
+        """Past SCAN_CAP the scan draws its kets directly: at dim_a = 3 the
+        default grid has 12^4 kets, too many pairs, so it takes 316 unit
+        kets, component 0 real and nonnegative, which a seed repeats."""
+        config = OptimizerConfig()
+        kets = _scan_points(3, config)
+        assert kets.shape == (316, 3) and kets.dtype == np.complex128
+        assert np.abs(np.linalg.norm(kets, axis=1) - 1.0).max() <= 1e-15
+        assert np.all(kets[:, 0].imag == 0.0) and np.all(kets[:, 0].real >= 0.0)
+        assert kets.tobytes() == _scan_points(3, config).tobytes()
+
     @pytest.mark.parametrize("dim_a", [2, 3, 5])
     def test_random_kets_are_haar_distributed(self, dim_a):
         """Haar-random unit kets in C^d have squared moduli uniform on the
@@ -722,7 +767,7 @@ class TestPerKetScan:
         give the same scores to rounding."""
         rng = np.random.default_rng(37)
         rho = BipartiteState(ginibre_state(16, 16, rng), 2, 8)
-        states = _steered_states(rho4_of(rho), scan_kets(2, OptimizerConfig(grid_points=17)))
+        states = _steered_states(rho4_of(rho), scan_kets(2, OptimizerConfig(grid_points=17)))[0]
         sizes = []
         real_terms = correlations._trace_terms
 
@@ -768,7 +813,7 @@ class TestPerKetScan:
         da, db = dims
         rho = BipartiteState(ginibre_state(da * db, da * db, np.random.default_rng(41)), da, db)
         kets = scan_kets(da, config)
-        board = _pair_scores(_steered_states(rho4_of(rho), kets))
+        board = _pair_scores(_steered_states(rho4_of(rho), kets)[0])
         expected, used = [], set()
         for i, j in sorted(upper_pairs(len(kets)), key=lambda p: -board[p]):
             if len(expected) < config.starts and not {i, j} & used:
@@ -777,7 +822,7 @@ class TestPerKetScan:
         starts = record_starts(monkeypatch)
         report = maximize_witness(rho, config)
         assert [s.x0.tobytes() for s in starts] == [
-            _ket_params(kets[[i, j]]).tobytes() for i, j in expected
+            ket_view(kets[[[i, j]]]).tobytes() for i, j in expected
         ]
         assert len(starts) == min(config.starts, len(kets) // 2)
         assert report.trace[0][1] == board[expected[0]]
@@ -1004,11 +1049,11 @@ def sequential_search(rho, config):
     report and each start's result."""
     rho4 = rho4_of(rho)
     kets = scan_kets(rho.dim_a, config)
-    board = _pair_scores(_steered_states(rho4, kets))
+    board = _pair_scores(_steered_states(rho4, kets)[0])
     best_q = float(board.max())
     evaluations = len(kets) * (len(kets) - 1) // 2
     pairs = _disjoint_pairs(board, min(config.starts, config.max_evals))
-    best_x = _ket_params(kets[list(pairs[0])])
+    best_x = ket_view(kets[[list(pairs[0])]])[0]
     trace = [(best_x, best_q)]
 
     def loss(xs):
@@ -1023,14 +1068,14 @@ def sequential_search(rho, config):
     maxfev = config.max_evals // len(pairs)
     results = []
     for i, j in pairs:
-        res = correlations.minimize(loss, _ket_params(kets[[[i, j]]]), maxfev=maxfev)
+        res = correlations.minimize(loss, ket_view(kets[[[i, j]]]), maxfev=maxfev)
         results.append(res)
         trace.append((res.x[0], -res.fun[0]))
     best_params = unit_params(best_x)
     report = DiscordReport(
         best_q=best_q,
         best_params=best_params,
-        best_kets=tuple(_param_kets(np.array(best_params))),
+        best_kets=tuple(unit_kets(best_x)),
         evaluations=evaluations,
         trace=tuple((unit_params(x), q) for x, q in trace),
     )

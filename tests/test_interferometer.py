@@ -279,6 +279,11 @@ class TestInterferometerSpec:
         with pytest.raises(LayoutError):
             InterferometerSpec(build_u1(Q4), self._inputs()[:3], default_phase_grid())
 
+    def test_input_of_the_wrong_dim_rejected(self):
+        inputs = (*self._inputs()[:3], DensityMatrix(np.eye(3) / 3.0))
+        with pytest.raises(LayoutError, match="^input 3 has dim 3, layout expects 2$"):
+            InterferometerSpec(build_u1(Q4), inputs, default_phase_grid())
+
     @pytest.mark.parametrize(
         "field, bad, message",
         [

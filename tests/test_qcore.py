@@ -523,6 +523,10 @@ class TestConjugateByUnitary:
         with pytest.raises(ValueError):
             conjugate_by_unitary(DensityMatrix(np.eye(2) / 2.0), np.diag([1.0, 2.0]))
 
+    def test_unitary_of_the_wrong_size_rejected(self):
+        with pytest.raises(LayoutError, match=r"^dimension mismatch: U is \(3, 3\), state is 2$"):
+            conjugate_by_unitary(DensityMatrix(np.eye(2) / 2.0), np.eye(3))
+
 
 class TestLayoutAndKets:
     def test_layout_total_dim(self):

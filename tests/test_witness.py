@@ -265,6 +265,22 @@ class TestWitnessResult:
             WitnessResult(q_value=-0.01, v1_term=0.1, v2_term=0.1025, method=method,
                           stderr_q=0.02)
 
+    @pytest.mark.parametrize(
+        "q_value, v1_term, v2_term",
+        [
+            (float("nan"), float("nan"), float("nan")),
+            (float("inf"), float("-inf"), 5.0),
+            (3.0, 0.5, 0.25),
+        ],
+        ids=["nan", "infinite", "inconsistent"],
+    )
+    def test_sampled_records_must_carry_q_of_their_terms(self, q_value, v1_term, v2_term):
+        """A sampled record is exempt from the sign checks, not from
+        q_value = 4 (v1_term - v2_term)."""
+        with pytest.raises(ValueError, match=r"^q_value inconsistent with 4 \(v1 - v2\)$"):
+            WitnessResult(q_value=q_value, v1_term=v1_term, v2_term=v2_term,
+                          method="interferometer", stderr_q=0.1)
+
     def test_sampled_estimates_may_fluctuate_below_zero(self):
         res = WitnessResult(
             q_value=-0.01, v1_term=0.1, v2_term=0.1025,
@@ -300,6 +316,10 @@ class TestWitnessObservables:
             va, vb = witness_observables(a, b)
             assert abs(va) == pytest.approx(q / 2.0, abs=1e-10)
             assert abs(vb) == pytest.approx(q / 2.0, abs=1e-10)
+
+    def test_states_of_different_dims_rejected(self):
+        with pytest.raises(LayoutError, match=r"^state dimensions differ: \(2, 2\) vs \(3, 3\)$"):
+            witness_observables(DensityMatrix(np.eye(2) / 2.0), DensityMatrix(np.eye(3) / 3.0))
 
     def test_values_purely_imaginary_and_opposite(self):
         rng = np.random.default_rng(7)
