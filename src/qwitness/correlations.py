@@ -38,7 +38,6 @@ from .qcore import (
     DensityMatrix,
     LayoutError,
     _check_int,
-    _identity,
     _psd_margins,
     as_operator,
     pure_state,
@@ -96,7 +95,7 @@ class BipartiteState:
 
     Row/column index factors as (a, b) in C order, matching
     :func:`qcore.tensor_product`. ``dim_a`` and ``dim_b`` are integers
-    (Python or numpy, never bool or float).
+    (Python or numpy, never bool or float), stored as Python ints.
     """
 
     state: DensityMatrix
@@ -104,8 +103,8 @@ class BipartiteState:
     dim_b: int
 
     def __post_init__(self):
-        _check_int("dim_a", self.dim_a)
-        _check_int("dim_b", self.dim_b)
+        object.__setattr__(self, "dim_a", _check_int("dim_a", self.dim_a))
+        object.__setattr__(self, "dim_b", _check_int("dim_b", self.dim_b))
         if self.dim_a < 1 or self.dim_b < 1:
             raise LayoutError("subsystem dimensions must be positive")
         product = self.dim_a * self.dim_b
@@ -229,7 +228,8 @@ class OptimizerConfig:
     at the gradient tolerance REFINE_TOL. The verdict threshold is the
     fixed VERDICT_THRESHOLD. Every setting is an integer, never a bool or
     a float: grid_points >= 2, starts >= 1, max_evals >= 1 and the seed
-    in [0, 2^64 - 1]; the error names the setting.
+    in [0, 2^64 - 1]; the error names the setting. Each is stored as a
+    Python int.
     """
 
     grid_points: int = 12
@@ -238,10 +238,10 @@ class OptimizerConfig:
     seed: int = 0
 
     def __post_init__(self):
-        _check_int("grid_points", self.grid_points, 2)
-        _check_int("starts", self.starts, 1)
-        _check_int("max_evals", self.max_evals, 1)
-        _check_int("seed", self.seed, 0, _SEED_MAX)
+        object.__setattr__(self, "grid_points", _check_int("grid_points", self.grid_points, 2))
+        object.__setattr__(self, "starts", _check_int("starts", self.starts, 1))
+        object.__setattr__(self, "max_evals", _check_int("max_evals", self.max_evals, 1))
+        object.__setattr__(self, "seed", _check_int("seed", self.seed, 0, _SEED_MAX))
 
 
 @dataclass(frozen=True, eq=False)
@@ -501,7 +501,7 @@ def _witness_kernel(rho4: np.ndarray, kets: np.ndarray):
     g -= c_dag @ swapped
     g *= _COMMUTATOR_SIGNS
     tr = np.einsum("...jk,...kj->...", g, s).real[..., None, None]
-    g -= tr * _identity(rho4.shape[1])
+    g -= tr * np.eye(rho4.shape[1])
     g /= p
     w = np.einsum("...jk,akcj->...ac", g, rho4)  # g now holds H1, H2
     return np.maximum(4.0 * (v1 - v2), 0.0), 8.0 * np.einsum("...ac,...c->...a", w, kets)

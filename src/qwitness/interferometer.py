@@ -34,8 +34,8 @@ permutation U is evaluated by cycle decomposition, with the dense matrix
 available as a test oracle via :meth:`PermutationUnitary.matrix`.
 
 What depends only on the setting, never on the states or the fringe data,
-is built once per process and shared: the cascade permutation per layout
-(:func:`build_u1`, :func:`build_u2`), the cycle decomposition per mapping,
+and is costly to rebuild is built once per process and shared: the cascade
+permutation per layout (:func:`build_u1`, :func:`build_u2`),
 :func:`default_phase_grid` per size and, per phase grid (keyed by the
 bytes of its float64 phases), one fit basis holding ``exp(1j * phases)``
 and the fit's one least-squares operator, the pseudo-inverse of the
@@ -80,8 +80,8 @@ __all__ = [
 _PROB_SLACK = 1e-9
 # Largest shot count per phase: numpy's binomial draw takes an int64 count.
 _SHOTS_MAX = 2**63 - 1
-# Entries kept by the per-setting caches. A layout or mapping costs a few
-# hundred bytes; a phase grid or fit basis grows with the grid (see the
+# Entries kept by the per-setting caches. A cascade costs a few hundred
+# bytes; a phase grid or fit basis grows with the grid (see the
 # module docstring), so few of those are kept.
 _LAYOUTS_CACHED = 32
 _GRIDS_CACHED = 4
@@ -117,7 +117,21 @@ class PermutationUnitary:
     def cycles(self) -> list[tuple[int, ...]]:
         """Cycle decomposition, each cycle following ``mapping``; a new list
         on every call."""
-        return list(_cycles(self.mapping))
+        mapping = self.mapping
+        seen = [False] * len(mapping)
+        out = []
+        for start in range(len(mapping)):
+            if seen[start]:
+                continue
+            cycle = [start]
+            seen[start] = True
+            nxt = mapping[start]
+            while nxt != start:
+                cycle.append(nxt)
+                seen[nxt] = True
+                nxt = mapping[nxt]
+            out.append(tuple(cycle))
+        return out
 
     def matrix(self) -> np.ndarray:
         """Dense 0/1 permutation matrix (test oracle; O(total_dim^2) memory)."""
@@ -129,24 +143,6 @@ class PermutationUnitary:
             row = int(np.ravel_multi_index(moved, dims))
             p[row, col] = 1.0
         return p
-
-
-@functools.lru_cache(maxsize=_LAYOUTS_CACHED)
-def _cycles(mapping: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-    seen = [False] * len(mapping)
-    out = []
-    for start in range(len(mapping)):
-        if seen[start]:
-            continue
-        cycle = [start]
-        seen[start] = True
-        nxt = mapping[start]
-        while nxt != start:
-            cycle.append(nxt)
-            seen[nxt] = True
-            nxt = mapping[nxt]
-        out.append(tuple(cycle))
-    return tuple(out)
 
 
 def generalized_swap(i: int, j: int, layout: RegisterLayout) -> PermutationUnitary:
@@ -243,7 +239,7 @@ def permutation_expectation(perm: PermutationUnitary, states: list[DensityMatrix
         if state.dim != d:
             raise LayoutError(f"state {k} has dim {state.dim}, layout expects {d}")
     result = 1.0 + 0.0j
-    for cycle in _cycles(perm.mapping):
+    for cycle in perm.cycles():
         prod = states[cycle[0]].matrix
         for idx in cycle[1:]:
             prod = prod @ states[idx].matrix
@@ -260,7 +256,7 @@ class InterferometerSpec:
     one generator seeded by ``seed``: a seed fixes the whole experiment, and
     a phase's count depends on the grid it is drawn with. ``shots_per_phase``
     (at most 2^63 - 1) and ``seed`` (in [0, 2^64 - 1]) are integers, not
-    bool. The phases must pass the fit basis's grid rule, else ValueError.
+    bool, stored as Python ints. The phases must pass the fit basis's grid rule, else ValueError.
     """
 
     unitary: PermutationUnitary
@@ -282,8 +278,9 @@ class InterferometerSpec:
         basis = _fit_basis(np.array(self.phases, dtype=np.float64).tobytes())
         if self.mode not in ("exact", "sampled"):
             raise ValueError(f"mode must be 'exact' or 'sampled', got {self.mode!r}")
-        _check_int("shots_per_phase", self.shots_per_phase, high=_SHOTS_MAX)
-        _check_int("seed", self.seed, 0, _SEED_MAX)
+        shots = _check_int("shots_per_phase", self.shots_per_phase, high=_SHOTS_MAX)
+        object.__setattr__(self, "shots_per_phase", shots)
+        object.__setattr__(self, "seed", _check_int("seed", self.seed, 0, _SEED_MAX))
         if self.mode == "sampled" and self.shots_per_phase < 1:
             raise ValueError("sampled mode needs shots_per_phase >= 1")
         if self.mode == "exact" and self.shots_per_phase != 0:

@@ -98,14 +98,6 @@ def dagger(m: np.ndarray) -> np.ndarray:
 
 
 @functools.cache
-def _identity(dim: int) -> np.ndarray:
-    """The real ``dim x dim`` identity, read-only, built once per dimension."""
-    eye = np.eye(dim)
-    eye.setflags(write=False)
-    return eye
-
-
-@functools.cache
 def _cholesky_shift(dim: int) -> np.ndarray:
     """``(ATOL_STRUCT / 2) I``, complex and read-only, built once per
     dimension: adding it to ``S`` costs a fraction of a strided write to
@@ -268,7 +260,7 @@ class RegisterLayout:
 
     @property
     def total_dim(self) -> int:
-        return int(np.prod(self.dims))
+        return math.prod(self.dims)
 
     @property
     def n_factors(self) -> int:
@@ -278,16 +270,17 @@ class RegisterLayout:
 @dataclass(frozen=True)
 class RandomSpec:
     """Reproducible random-state request: identical spec, identical state.
-    Integers, never bool or float: dim >= 1, rank in [1, dim], seed in [0, 2^64 - 1]."""
+    Integers, never bool or float: dim >= 1, rank in [1, dim], seed in [0, 2^64 - 1],
+    stored as Python ints."""
 
     dim: int
     rank: int
     seed: int
 
     def __post_init__(self):
-        _check_int("dim", self.dim)
-        _check_int("rank", self.rank)
-        _check_int("seed", self.seed, 0, _SEED_MAX)
+        object.__setattr__(self, "dim", _check_int("dim", self.dim))
+        object.__setattr__(self, "rank", _check_int("rank", self.rank))
+        object.__setattr__(self, "seed", _check_int("seed", self.seed, 0, _SEED_MAX))
         if self.dim < 1:
             raise ValueError(f"dim must be positive, got {self.dim}")
         if not 1 <= self.rank <= self.dim:
@@ -336,7 +329,7 @@ def partial_trace_operator(m, layout: RegisterLayout, keep) -> np.ndarray:
             continue
         t = np.trace(t, axis1=idx, axis2=idx + (n - traced))
         traced += 1
-    kept_dim = int(np.prod([dims[k] for k in keep])) if keep else 1
+    kept_dim = math.prod(dims[k] for k in keep)
     return np.asarray(t, dtype=np.complex128).reshape(kept_dim, kept_dim)
 
 

@@ -96,6 +96,18 @@ class TestTypes:
             BipartiteState(dm, dim_a, dim_b)
         assert BipartiteState(dm, np.int64(2), np.uint8(2)).dim_a == 2
 
+    def test_numpy_integer_split_is_stored_and_multiplied_as_python_ints(self):
+        """np.uint8(16) * np.uint8(16) wrapped to 0, so the split read as a
+        mismatch and its message called bit_length on a numpy scalar."""
+        state = BipartiteState(DensityMatrix(np.eye(256) / 256.0), np.uint8(16), np.uint8(16))
+        assert (type(state.dim_a), type(state.dim_b)) == (int, int)
+
+    def test_numpy_integer_split_mismatch_is_a_layout_error(self):
+        """The mismatch raised AttributeError (np.int64 has no bit_length)."""
+        message = "dim_a * dim_b = 6 does not match total dim 4"
+        with pytest.raises(LayoutError, match=f"^{re.escape(message)}$"):
+            BipartiteState(DensityMatrix(np.eye(4) / 4.0), np.int64(2), np.int64(3))
+
     def test_povm_element_hermiticity_and_psd(self):
         assert PovmElement(P0).dim == 2
         with pytest.raises(ValueError, match="Hermitian"):
@@ -154,6 +166,18 @@ class TestTypes:
         config = OptimizerConfig(grid_points=np.int64(4), starts=np.int32(2),
                                  max_evals=np.uint16(200), seed=np.uint64(2**64 - 1))
         assert config.seed == 2**64 - 1
+
+    def test_numpy_grid_points_scan_the_kets_that_a_python_int_scans(self):
+        """g ** (2 * n_polar) wrapped in int64 at np.int64(2**16) and picked
+        the grid branch, which could not broadcast; the stored Python int
+        picks the Haar branch, as grid_points=2**16 does."""
+        config = OptimizerConfig(grid_points=np.int64(2**16), starts=np.int32(2),
+                                 max_evals=np.uint16(200), seed=np.uint64(0))
+        assert {type(getattr(config, f.name)) for f in dataclasses.fields(config)} == {int}
+        kets = correlations._scan_points(3, config)
+        assert len(kets) == 316
+        assert kets.tobytes() == correlations._scan_points(
+            3, OptimizerConfig(grid_points=2**16)).tobytes()
 
     def test_discord_report_verdict_at_the_threshold(self):
         def report(best_q):

@@ -327,6 +327,12 @@ class TestInterferometerSpec:
                                   seed=np.uint64(2**64 - 1))
         assert np.all(run_interferometer(spec).shots == 3)
 
+    def test_numpy_integer_settings_stored_as_python_ints(self):
+        spec = InterferometerSpec(build_u1(Q4), self._inputs(), default_phase_grid(),
+                                  mode="sampled", shots_per_phase=np.int64(3),
+                                  seed=np.uint64(2**64 - 1))
+        assert (type(spec.shots_per_phase), type(spec.seed)) == (int, int)
+
     def test_largest_shot_count_accepted(self):
         spec = InterferometerSpec(build_u1(Q4), self._inputs(), default_phase_grid(),
                                   mode="sampled", shots_per_phase=2**63 - 1)
@@ -721,7 +727,7 @@ def clear_setting_caches():
 
 
 SETTING_CACHES = (
-    interferometer.build_u1, interferometer.build_u2, interferometer._cycles,
+    interferometer.build_u1, interferometer.build_u2,
     interferometer.default_phase_grid, interferometer._fit_basis,
 )
 GRIDS = {

@@ -495,6 +495,10 @@ class TestRandomDensity:
         expected = random_density(RandomSpec(dim=3, rank=2, seed=2**64 - 1))
         assert random_density(spec).matrix.tobytes() == expected.matrix.tobytes()
 
+    def test_numpy_integer_settings_stored_as_python_ints(self):
+        spec = RandomSpec(dim=np.int64(3), rank=np.uint8(2), seed=np.uint64(2**64 - 1))
+        assert [type(v) for v in (spec.dim, spec.rank, spec.seed)] == [int, int, int]
+
 
 class TestConjugateByUnitary:
     def test_identity_leaves_state(self):
@@ -556,6 +560,15 @@ class TestLayoutAndKets:
         layout = RegisterLayout((np.int64(2), np.uint8(3)))
         assert layout == RegisterLayout((2, 3))
         assert [type(d) for d in layout.dims] == [int, int]
+
+    def test_total_dim_does_not_wrap(self):
+        """int(np.prod(dims)) wrapped in int64: 2^32 * 2^32 read 0 and
+        3 * 2^62 read negative, and the layout error reported "(total 0)"."""
+        huge = RegisterLayout((2**32, 2**32))
+        assert huge.total_dim == 2**64
+        assert RegisterLayout((3, 2**62)).total_dim == 3 * 2**62
+        with pytest.raises(LayoutError, match=re.escape(f"(total {2**64})")):
+            partial_trace_operator(np.eye(1), huge, [0])
 
     def test_pure_state_normalizes(self):
         state = pure_state(np.array([1.0, 1.0]))  # norm sqrt(2), rescaled
