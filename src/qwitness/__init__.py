@@ -8,6 +8,7 @@ quantum correlations of bipartite states by maximizing Q over conditional
 states steered by local measurements.
 """
 
+from . import correlations, interferometer, qcore, witness
 from .correlations import (
     BipartiteState,
     ConditionalState,
@@ -57,47 +58,11 @@ from .witness import WitnessResult, quantumness, witness_observables
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BipartiteState",
-    "ConditionalState",
-    "CqSpec",
-    "DensityMatrix",
-    "DiscordReport",
-    "FringeData",
-    "InterferometerSpec",
-    "LayoutError",
-    "MeasurementAngles",
-    "OptimizerConfig",
-    "PermutationUnitary",
-    "PovmElement",
-    "RandomSpec",
-    "RegisterLayout",
-    "StateValidationError",
-    "VisibilityEstimate",
-    "WitnessResult",
-    "ZeroProbabilityError",
-    "build_cq_state",
-    "build_u1",
-    "build_u2",
-    "commutator_hs",
-    "compose_permutations",
-    "conditional_state",
-    "conjugate_by_unitary",
-    "correlation_witness",
-    "default_phase_grid",
-    "epr_state",
-    "extract_visibility",
-    "generalized_swap",
-    "interferometric_quantumness",
-    "maximize_witness",
-    "partial_trace",
-    "permutation_expectation",
-    "projector_pair",
-    "pure_state",
-    "quantumness",
-    "random_density",
-    "run_interferometer",
-    "separable_example_state",
-    "tensor_product",
-    "witness_observables",
-]
+# Every name imported above that its module exports, and nothing else:
+# a module-only name (a tolerance, a constant, a helper) is never imported.
+__all__ = sorted(
+    name
+    for module in (correlations, interferometer, qcore, witness)
+    for name in module.__all__
+    if name in globals()
+)

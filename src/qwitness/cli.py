@@ -24,7 +24,9 @@ I/O failure. A flag value out of its `_FLAGS` row's range (a `--dim` above
 2^11, whose complex matrix is 64 MiB, a `--shots` above the int64 count
 numpy's binomial draw takes, a `--seed` outside [0, 2^64 - 1]) or a
 non-finite float flag is a usage error, found before any file is read;
-of several, the first in usage order is reported. A `random-state --rank`
+of several, the first in usage order is reported. An `interfere --out`
+whose absolute path is its `--fringes-out`'s is a usage error too, also
+found before any file is read. A `random-state --rank`
 outside [1, --dim] is a data error, as is a state file that is not UTF-8
 JSON or whose dim or dims is not a JSON integer or whose matrix entries
 are not JSON numbers, or that is nested too deeply to parse. A data error found
@@ -59,6 +61,7 @@ import argparse
 import hashlib
 import json
 import math
+import os
 import re
 import sys
 import time
@@ -225,8 +228,12 @@ def save_state(
 
     The text is that of ``json.dump`` with ``indent=2`` and a final newline,
     written row by row so that a large state streams: every entry is a
-    finite float, which json also writes with ``float.__repr__``.
+    finite float, which json also writes with ``float.__repr__``. ``dims``
+    is checked by ``BipartiteState(state, *dims)`` before the file is
+    opened, so a split that ``load_state`` would refuse raises and leaves
+    ``path`` untouched; the file carries the ints that check returns.
     """
+    split = None if dims is None else BipartiteState(state, *dims)
     m = state.matrix
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f'{{\n  "dim": {state.dim}')
@@ -237,8 +244,8 @@ def save_state(
                 fh.write(sep + ",\n      ".join(map(float.__repr__, row.tolist())))
                 sep = "\n    ],\n    [\n      "
             fh.write("\n    ]\n  ]")
-        if dims is not None:
-            fh.write(f',\n  "dims": [\n    {int(dims[0])},\n    {int(dims[1])}\n  ]')
+        if split is not None:
+            fh.write(f',\n  "dims": [\n    {split.dim_a},\n    {split.dim_b}\n  ]')
         fh.write("\n}\n")
 
 
@@ -529,6 +536,11 @@ def _cmd_interfere(args) -> tuple[dict, dict, int | None]:
         raise _UsageError("--mode sampled requires --shots N with N >= 1")
     if args.mode == "exact" and args.shots is not None:
         raise _UsageError("--shots applies only to --mode sampled")
+    # A report written over its own fringe CSV would leave a fringes_path
+    # naming no fringes. Symlinked or hard-linked aliases are not compared.
+    out = args.out
+    if out is not None and os.path.abspath(out) == os.path.abspath(args.fringes_out):
+        raise _UsageError("--fringes-out and --out must name different files")
     state_a, digest_a = _load_single(args.state_a)
     state_b, digest_b = _load_single(args.state_b)
     spec = _cascade_spec(

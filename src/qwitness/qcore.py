@@ -97,11 +97,12 @@ def dagger(m: np.ndarray) -> np.ndarray:
     return m.conj().T
 
 
-@functools.cache
+@functools.lru_cache(maxsize=8)
 def _cholesky_shift(dim: int) -> np.ndarray:
-    """``(ATOL_STRUCT / 2) I``, complex and read-only, built once per
-    dimension: adding it to ``S`` costs a fraction of a strided write to
-    the diagonal, and gives the same factor up to the sign of zeros."""
+    """``(ATOL_STRUCT / 2) I``, complex and read-only, kept for the eight
+    dimensions last used (each is a dense ``d x d`` matrix, 64 MB at
+    ``d = 2048``): adding it to ``S`` costs a fraction of a strided write
+    to the diagonal, and gives the same factor up to the sign of zeros."""
     shift = np.eye(dim, dtype=np.complex128)
     shift *= ATOL_STRUCT / 2.0
     shift.setflags(write=False)

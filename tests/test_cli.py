@@ -122,6 +122,24 @@ class TestStateIO:
             back = back.state
         assert back.matrix.tobytes() == state.matrix.tobytes()
 
+    @pytest.mark.parametrize(
+        "dims, message",
+        [((2, 3), "dim_a \\* dim_b = 6 does not match total dim 4"),
+         ((2.7, 1.9), "dim_a must be an integer, got 2.7"),
+         ((True, 4), "dim_a must be an integer, got True"),
+         ((4, np.float64(1.0)), "dim_b must be an integer, got "),
+         ((-2, -2), "subsystem dimensions must be positive")],
+        ids=["no-fit", "floats", "bool", "numpy-float", "negative"],
+    )
+    def test_bad_dims_raise_and_leave_the_target_alone(self, tmp_path, dims, message):
+        """save_state refuses every split load_state would refuse, before it
+        opens the file: an existing target keeps its bytes."""
+        path = tmp_path / "s.json"
+        path.write_bytes(b"keep\n")
+        with pytest.raises(ValueError, match=message):
+            save_state(epr_state().state, str(path), dims=dims)
+        assert path.read_bytes() == b"keep\n"
+
     def test_missing_key_is_flagged(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text('{"dim": 2, "re": [[1, 0], [0, 0]]}')
@@ -662,6 +680,27 @@ class TestInterfereCommand:
             assert code == 0
             assert report_of(out)["results"]["v"] == terms[term]
 
+    @pytest.mark.parametrize("out", ["f.csv", "./f.csv", "sub/../f.csv", "absolute"])
+    def test_report_over_its_own_fringe_csv_is_usage_error(
+        self, tmp_path, capsys, monkeypatch, out
+    ):
+        """An --out with the --fringes-out path (by os.path.abspath) is refused
+        before any file is read: the state files here do not exist, and the
+        CSV already at that path keeps its bytes."""
+        monkeypatch.chdir(tmp_path)
+        csv = tmp_path / "f.csv"
+        csv.write_bytes(b"keep\n")
+        out = str(csv) if out == "absolute" else out
+        code, stdout, err = run(
+            capsys,
+            ["interfere", "--u", "u1", "--state-a", "absent.json", "--state-b", "absent.json",
+             "--fringes-out", "f.csv", "--out", out],
+        )
+        assert (code, stdout) == (1, "")
+        assert err == ("qwitness interfere: error: "
+                       "--fringes-out and --out must name different files\n")
+        assert csv.read_bytes() == b"keep\n"
+
     def test_dimension_mismatch_is_data_error(self, tmp_path, capsys):
         rng = np.random.default_rng(46)
         a = state_path(tmp_path, "a.json", ginibre_state(2, 2, rng))
@@ -1104,7 +1143,11 @@ class TestExitCodes:
         assert (code, err) == (2, f"qwitness discord: invalid input: {bad}: {message}\n")
 
     def test_split_that_does_not_fit_names_the_file(self, tmp_path, capsys):
-        bad = state_path(tmp_path, "bad.json", epr_state().state, dims=(2, 3))
+        # save_state refuses this split, so the file is written here.
+        m = epr_state().state.matrix
+        bad = str(tmp_path / "bad.json")
+        Path(bad).write_text(json.dumps(
+            {"dim": 4, "re": m.real.tolist(), "im": m.imag.tolist(), "dims": [2, 3]}))
         message = "dim_a * dim_b = 6 does not match total dim 4"
         a = state_path(tmp_path, "a.json", PLUS)
         code, _, err = run(capsys, ["witness", "--state-a", a, "--state-b", bad])

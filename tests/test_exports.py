@@ -1,5 +1,5 @@
 """The package's export rule: `qwitness.__all__` is every public name of the
-four library modules except those imported only from their own module."""
+four library modules except those imported only from their own module, sorted."""
 
 import re
 from pathlib import Path
@@ -21,6 +21,7 @@ README = Path(__file__).resolve().parents[1] / "README.md"
 
 def test_every_export_resolves_once():
     assert len(set(qwitness.__all__)) == len(qwitness.__all__)
+    assert qwitness.__all__ == sorted(qwitness.__all__)
     for name in qwitness.__all__:
         getattr(qwitness, name)
 

@@ -68,6 +68,14 @@ class TestPermutationUnitary:
         np.testing.assert_array_equal(perm.matrix(), SWAP_2Q)
         assert perm.cycles() == [(0, 1)]
 
+    def test_cycles_partition_the_slots_and_follow_mapping(self):
+        for mapping in itertools.permutations(range(5)):
+            cycles = PermutationUnitary(RegisterLayout((2,) * 5), mapping).cycles()
+            assert sorted(s for cycle in cycles for s in cycle) == list(range(5))
+            for cycle in cycles:
+                for s, nxt in zip(cycle, cycle[1:] + cycle[:1]):
+                    assert mapping[s] == nxt
+
     def test_swap_moves_product_kets(self):
         """S(|0> (x) |1>) = |1> (x) |0|> as a matrix action."""
         ket01 = np.zeros(4)
@@ -740,7 +748,7 @@ GRIDS = {
 
 
 class TestSettingCaches:
-    """Setting-only data (cascades, cycles, phase grids, fit bases) is built
+    """Setting-only data (cascades, phase grids, fit bases) is built
     once and shared; every output keeps the bits of a per-call evaluation."""
 
     @pytest.mark.parametrize("grid", sorted(GRIDS))
@@ -838,8 +846,6 @@ class TestSettingCaches:
         for d in range(1, 2 + interferometer._LAYOUTS_CACHED):
             for build in (build_u1, build_u2):
                 build(RegisterLayout((d,) * 4))
-        for perm in itertools.permutations(range(5)):
-            PermutationUnitary(RegisterLayout((2,) * 5), perm).cycles()
         for cache in SETTING_CACHES:
             info = cache.cache_info()
             assert info.maxsize is not None

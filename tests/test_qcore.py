@@ -286,6 +286,19 @@ class TestPositivityPaths:
             assert (info.value.check, info.value.magnitude) == ("finiteness", np.inf)
         assert spectrum_calls == []
 
+    def test_shift_cache_keeps_its_fixed_size(self):
+        """Each cached shift is a dense d x d matrix (64 MB at d = 2048), so
+        validating more distinct dimensions than the cache holds evicts."""
+        cache = qcore._cholesky_shift
+        maxsize = cache.cache_info().maxsize
+        assert maxsize is not None
+        cache.cache_clear()
+        for d in range(1, maxsize + 3):
+            DensityMatrix(np.eye(d) / d)
+        info = cache.cache_info()
+        assert info.misses == maxsize + 2
+        assert info.currsize <= info.maxsize
+
 
 class TestTensorProduct:
     def test_basis_projectors(self):
